@@ -23,7 +23,6 @@ from .data import (
     augment,
     load_manifest,
     parse_sequence,
-    partition_joints,
     uniform_sample,
     write_sequence,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "augment",
     "load_manifest",
     "parse_sequence",
-    "partition_joints",
     "uniform_sample",
     "write_sequence",
     "HANClassifier",

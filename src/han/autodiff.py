@@ -405,13 +405,3 @@ def _check_axis(x: Tensor, axis: int) -> None:
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"axis {axis} invalid for shape {x.shape}")
 
-
-def dump(t: Tensor) -> str:
-    """Debug text form: shape line, then row-major values at 9 significant digits."""
-    lines = [" ".join(str(d) for d in t.shape)]
-    flat = np.ravel(t.data, order="C")
-    width = t.shape[-1] if t.ndim >= 1 and t.shape[-1] > 0 else 1
-    for start in range(0, flat.size, width):
-        row = flat[start:start + width]
-        lines.append(" ".join(format(float(v), ".9g") for v in row))
-    return "\n".join(lines) + "\n"

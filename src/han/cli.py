@@ -15,89 +15,18 @@ import sys
 
 import numpy as np
 
-from .attention import AttentionConfig
-from .data import (
-    AugmentationConfig,
-    default_partition,
-    load_manifest,
-    parse_sequence,
-    resolve_partition,
-    uniform_sample,
-)
+from .config import CONFIG_KEYS, build_configs
+from .data import load_manifest, parse_sequence, uniform_sample
 from .errors import ConfigError, DataError, HanError, UsageError
-from .model import HANConfig, HANModel, SITES, extract_attention, load_checkpoint, save_checkpoint
+from .model import HANModel, SITES, extract_attention, load_checkpoint, save_checkpoint
 from .profile import cost_report
 from .synth import SynthConfig, generate_dataset
-from .train import TrainConfig, evaluate, train, write_confusion_csv, write_training_log
+from .train import evaluate, train, write_confusion_csv, write_training_log
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
-
-# every key the config file may set; type is used both for parsing and
-# for the mirrored --kebab-case flag
-_CONFIG_KEYS: dict[str, type] = {
-    "d_model": int,
-    "heads": int,
-    "d_head": int,
-    "dropout": float,
-    "frames": int,
-    "classes": int,
-    "joints": int,
-    "partition": str,
-    "pe_j": bool,
-    "pe_f": bool,
-    "pe_t": bool,
-    "pe_fusion": bool,
-    "share_j_att": bool,
-    "share_t_att": bool,
-    "lr": float,
-    "batch_size": int,
-    "warmup_epochs": int,
-    "plateau_patience": int,
-    "decay_factor": float,
-    "max_decays": int,
-    "max_epochs": int,
-    "augment": bool,
-    "scale_min": float,
-    "scale_max": float,
-    "shift_range": float,
-    "time_jitter": float,
-    "noise_std": float,
-    "seed": int,
-}
-
-_DEFAULTS: dict = {
-    "d_model": 128,
-    "heads": 8,
-    "d_head": 32,
-    "dropout": 0.1,
-    "frames": 8,
-    "classes": 14,
-    "joints": 22,
-    "partition": "auto",
-    "pe_j": True,
-    "pe_f": True,
-    "pe_t": True,
-    "pe_fusion": True,
-    "share_j_att": True,
-    "share_t_att": True,
-    "lr": 0.001,
-    "batch_size": 32,
-    "warmup_epochs": 5,
-    "plateau_patience": 10,
-    "decay_factor": 10.0,
-    "max_decays": 4,
-    "max_epochs": None,
-    "augment": True,
-    "scale_min": 0.9,
-    "scale_max": 1.1,
-    "shift_range": 0.05,
-    "time_jitter": 0.5,
-    "noise_std": 0.001,
-    "seed": 0,
-}
 
 
 def _parse_bool(text: str) -> bool:
@@ -125,9 +54,9 @@ def _read_config_file(path: str) -> dict:
         key, _, value = text.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key '{key}'")
-        kind = _CONFIG_KEYS[key]
+        kind = CONFIG_KEYS[key]
         try:
             out[key] = _parse_bool(value) if kind is bool else kind(value)
         except ValueError as exc:
@@ -135,86 +64,18 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-class RunConfig:
-    """Merged configuration with provenance: defaults < file < flags."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.values = dict(_DEFAULTS)
-        self.explicit: set[str] = set()
-        config_path = getattr(args, "config", None)
-        if config_path:
-            for key, value in _read_config_file(config_path).items():
-                self.values[key] = value
-                self.explicit.add(key)
-        for key in _CONFIG_KEYS:
-            flag_value = getattr(args, key, None)
-            if flag_value is not None:
-                self.values[key] = flag_value
-                self.explicit.add(key)
-
-    def __getitem__(self, key: str):
-        return self.values[key]
-
-    def was_set(self, key: str) -> bool:
-        return key in self.explicit
-
-    def require_consistent(self, key: str, observed, source: str) -> None:
-        if self.was_set(key) and self.values[key] != observed:
-            raise ConfigError(
-                f"config sets {key}={self.values[key]} but {source} declares {observed}"
-            )
-        self.values[key] = observed
-
-    def han_config(self) -> HANConfig:
-        if self.values["partition"] == "auto":
-            partition = default_partition(self.values["joints"])
-        else:
-            partition = resolve_partition(self.values["partition"])
-        return HANConfig(
-            attention=AttentionConfig(
-                d_model=self.values["d_model"],
-                n_heads=self.values["heads"],
-                d_head=self.values["d_head"],
-                dropout_rate=self.values["dropout"],
-            ),
-            frames=self.values["frames"],
-            class_count=self.values["classes"],
-            partition=partition,
-            pe_j=self.values["pe_j"],
-            pe_f=self.values["pe_f"],
-            pe_t=self.values["pe_t"],
-            pe_fusion=self.values["pe_fusion"],
-            share_j_att=self.values["share_j_att"],
-            share_t_att=self.values["share_t_att"],
-        )
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            lr_init=self.values["lr"],
-            batch_size=self.values["batch_size"],
-            warmup_epochs=self.values["warmup_epochs"],
-            plateau_patience=self.values["plateau_patience"],
-            decay_factor=self.values["decay_factor"],
-            max_decays=self.values["max_decays"],
-            seed=self.values["seed"],
-            max_epochs=self.values["max_epochs"],
-            augmentation=self.augmentation_config(),
-        )
-
-    def augmentation_config(self) -> AugmentationConfig | None:
-        if not self.values["augment"]:
-            return None
-        return AugmentationConfig(
-            scale_range=(self.values["scale_min"], self.values["scale_max"]),
-            shift_range=self.values["shift_range"],
-            time_jitter=self.values["time_jitter"],
-            noise_std=self.values["noise_std"],
-        )
+def _config_values(args: argparse.Namespace) -> dict:
+    """The config keys a run sets: the `--config` file, then flags over it."""
+    values = _read_config_file(args.config) if args.config else {}
+    for key in CONFIG_KEYS:
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
+    return values
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value configuration file")
-    for key, kind in _CONFIG_KEYS.items():
+    for key, kind in CONFIG_KEYS.items():
         flag = "--" + key.replace("_", "-")
         if kind is bool:
             parser.add_argument(flag, dest=key, default=None, action=argparse.BooleanOptionalAction)
@@ -252,26 +113,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic labelled dataset")
     p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--classes", type=int, default=4)
-    p_synth.add_argument("--per-class", dest="per_class", type=int, default=16)
-    p_synth.add_argument("--joints", type=int, default=22)
-    p_synth.add_argument("--test-fraction", dest="test_fraction", type=float, default=0.25)
-    p_synth.add_argument("--min-frames", dest="min_frames", type=int, default=20)
-    p_synth.add_argument("--max-frames", dest="max_frames", type=int, default=40)
-    p_synth.add_argument("--seed", type=int, default=0)
+    for f in dataclasses.fields(SynthConfig):
+        p_synth.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=type(f.default), default=f.default)
     return parser
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    run = RunConfig(args)
+    values = _config_values(args)
     dataset = load_manifest(args.manifest)
-    run.require_consistent("classes", dataset.class_count, "the manifest")
-    run.require_consistent("joints", dataset.joint_count, "the manifest")
-    config = run.han_config()
-    if run["partition"] == "auto":
-        config = dataclasses.replace(config, partition=dataset.partition)
-    model = HANModel(config, seed=run["seed"])
-    result = train(dataset, model, run.train_config())
+    for key, declared in (("classes", dataset.class_count), ("joints", dataset.joint_count)):
+        if values.setdefault(key, declared) != declared:
+            raise ConfigError(f"config sets {key}={values[key]} but the manifest declares {declared}")
+    if values.get("partition", "auto") == "auto":
+        values["partition"] = dataset.partition
+    config, train_config = build_configs(values)
+    model = HANModel(config, seed=train_config.seed)
+    result = train(dataset, model, train_config)
     os.makedirs(args.out, exist_ok=True)
     save_checkpoint(result.model, os.path.join(args.out, "model.ckpt"))
     write_training_log(os.path.join(args.out, "train.log"), result)
@@ -303,8 +160,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    run = RunConfig(args)
-    report = cost_report(run.han_config())
+    config, _ = build_configs(_config_values(args))
+    report = cost_report(config)
     print(report.text())
     print(f"params={report.param_total}")
     print(f"flops={report.flop_total}")
@@ -341,15 +198,7 @@ def cmd_export_attn(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    config = SynthConfig(
-        classes=args.classes,
-        per_class=args.per_class,
-        joints=args.joints,
-        test_fraction=args.test_fraction,
-        min_frames=args.min_frames,
-        max_frames=args.max_frames,
-        seed=args.seed,
-    )
+    config = SynthConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SynthConfig)})
     manifest = generate_dataset(config, args.out)
     print(f"manifest={manifest} classes={config.classes} sequences={config.classes * config.per_class}")
     return EXIT_OK

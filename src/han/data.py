@@ -263,18 +263,6 @@ def augment(seq: SkeletonSequence, config: AugmentationConfig, rng: Rng) -> Skel
     return SkeletonSequence(frames=frames, label=seq.label, metadata=dict(seq.metadata))
 
 
-def partition_joints(frame: np.ndarray, partition: HandPartition) -> list[np.ndarray]:
-    """Split one (J, 3) frame into the 6 parts' coordinate arrays, in part order."""
-    frame = np.asarray(frame)
-    if frame.ndim != 2 or frame.shape[1] != 3:
-        raise ConfigError(f"frame must be (J, 3), got {frame.shape}")
-    if frame.shape[0] != partition.joint_count:
-        raise ConfigError(
-            f"frame has {frame.shape[0]} joints but partition '{partition.name}' covers {partition.joint_count}"
-        )
-    return [frame[list(part)] for part in partition.parts]
-
-
 @dataclass
 class ManifestEntry:
     path: str

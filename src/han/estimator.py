@@ -12,19 +12,21 @@ import inspect
 
 import numpy as np
 
-from .attention import AttentionConfig
-from .data import (
-    AugmentationConfig,
-    HandPartition,
-    SkeletonSequence,
-    default_partition,
-    resolve_partition,
-    uniform_sample,
-)
+from .config import ALIASES, DEFAULTS, build_configs
+from .data import SkeletonSequence, uniform_sample
 from .errors import UsageError
-from .model import HANConfig, HANModel, forward
-from .train import TrainConfig, TrainResult, train_loop
+from .model import HANModel, predict
+from .train import TrainResult, train_loop
 from .validation import as_label_array, as_sequence_list
+
+# parameter -> default: the flat config keys the data does not fix, less the
+# augmentation magnitudes; attention keys are spelled as their fields, the
+# learning rate as `lr`
+_PARAMS = {
+    (key if key == "lr" else ALIASES.get(key, key)): value
+    for key, value in DEFAULTS.items()
+    if key not in ("classes", "joints", "scale_min", "scale_max", "shift_range", "time_jitter", "noise_std")
+}
 
 
 class HANClassifier:
@@ -51,93 +53,28 @@ class HANClassifier:
     history_ : per-epoch training log.
     """
 
-    def __init__(
-        self,
-        *,
-        d_model: int = 128,
-        n_heads: int = 8,
-        d_head: int = 32,
-        dropout_rate: float = 0.1,
-        frames: int = 8,
-        partition: str = "auto",
-        pe_j: bool = True,
-        pe_f: bool = True,
-        pe_t: bool = True,
-        pe_fusion: bool = True,
-        share_j_att: bool = True,
-        share_t_att: bool = True,
-        lr: float = 0.001,
-        batch_size: int = 32,
-        warmup_epochs: int = 5,
-        plateau_patience: int = 10,
-        decay_factor: float = 10.0,
-        max_decays: int = 4,
-        max_epochs: int | None = None,
-        augment: bool = True,
-        seed: int = 0,
-    ):
-        self.d_model = d_model
-        self.n_heads = n_heads
-        self.d_head = d_head
-        self.dropout_rate = dropout_rate
-        self.frames = frames
-        self.partition = partition
-        self.pe_j = pe_j
-        self.pe_f = pe_f
-        self.pe_t = pe_t
-        self.pe_fusion = pe_fusion
-        self.share_j_att = share_j_att
-        self.share_t_att = share_t_att
-        self.lr = lr
-        self.batch_size = batch_size
-        self.warmup_epochs = warmup_epochs
-        self.plateau_patience = plateau_patience
-        self.decay_factor = decay_factor
-        self.max_decays = max_decays
-        self.max_epochs = max_epochs
-        self.augment = augment
-        self.seed = seed
+    def __init__(self, **params):
+        unknown = sorted(params.keys() - _PARAMS.keys())
+        if unknown:
+            raise TypeError(f"HANClassifier got unexpected keyword arguments {unknown}")
+        for name, default in _PARAMS.items():
+            setattr(self, name, params.get(name, default))
 
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        sig = inspect.signature(cls.__init__)
-        return [n for n in sig.parameters if n != "self"]
+    __init__.__signature__ = inspect.Signature(
+        [inspect.Parameter("self", inspect.Parameter.POSITIONAL_OR_KEYWORD)]
+        + [inspect.Parameter(name, inspect.Parameter.KEYWORD_ONLY, default=default)
+           for name, default in _PARAMS.items()]
+    )
 
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
+        return {name: getattr(self, name) for name in _PARAMS}
 
     def set_params(self, **params) -> "HANClassifier":
-        valid = set(self._param_names())
         for name, value in params.items():
-            if name not in valid:
+            if name not in _PARAMS:
                 raise UsageError(f"unknown parameter '{name}' for HANClassifier")
             setattr(self, name, value)
         return self
-
-    def _build_config(self, joint_count: int) -> HANConfig:
-        if isinstance(self.partition, HandPartition):
-            partition = self.partition
-        elif self.partition == "auto":
-            partition = default_partition(joint_count)
-        else:
-            partition = resolve_partition(self.partition)
-        return HANConfig(
-            attention=AttentionConfig(
-                d_model=self.d_model,
-                n_heads=self.n_heads,
-                d_head=self.d_head,
-                dropout_rate=self.dropout_rate,
-            ),
-            frames=self.frames,
-            class_count=len(self.classes_),
-            partition=partition,
-            pe_j=self.pe_j,
-            pe_f=self.pe_f,
-            pe_t=self.pe_t,
-            pe_fusion=self.pe_fusion,
-            share_j_att=self.share_j_att,
-            share_t_att=self.share_t_att,
-        )
 
     def fit(self, X, y) -> "HANClassifier":
         arrays = as_sequence_list(X)
@@ -150,20 +87,11 @@ class HANClassifier:
             SkeletonSequence(frames=a, label=index_of[int(lbl)])
             for a, lbl in zip(arrays, labels)
         ]
-        config = self._build_config(arrays[0].shape[1])
-        model = HANModel(config, seed=self.seed)
-        train_cfg = TrainConfig(
-            lr_init=self.lr,
-            batch_size=self.batch_size,
-            warmup_epochs=self.warmup_epochs,
-            plateau_patience=self.plateau_patience,
-            decay_factor=self.decay_factor,
-            max_decays=self.max_decays,
-            seed=self.seed,
-            max_epochs=self.max_epochs,
-            augmentation=AugmentationConfig() if self.augment else None,
+        config, train_config = build_configs(
+            dict(self.get_params(), classes=len(self.classes_), joints=arrays[0].shape[1])
         )
-        result: TrainResult = train_loop(seqs, [], model, train_cfg)
+        model = HANModel(config, seed=train_config.seed)
+        result: TrainResult = train_loop(seqs, [], model, train_config)
         self.model_ = result.model
         self.history_ = result.epochs
         return self
@@ -174,14 +102,12 @@ class HANClassifier:
 
     def predict_proba(self, X) -> np.ndarray:
         self._check_fitted()
-        arrays = as_sequence_list(X, joint_count=self.model_.config.joint_count)
-        out = np.empty((len(arrays), self.classes_.size))
-        for i, arr in enumerate(arrays):
-            seq = uniform_sample(SkeletonSequence(frames=arr, label=0), self.frames)
-            logits = forward(seq, self.model_, training=False).data.astype(np.float64)
-            e = np.exp(logits - logits.max())
-            out[i] = e / e.sum()
-        return out
+        config = self.model_.config
+        arrays = as_sequence_list(X, joint_count=config.joint_count)
+        return np.stack([
+            predict(uniform_sample(SkeletonSequence(frames=arr, label=0), config.frames), self.model_)[1]
+            for arr in arrays
+        ])
 
     def predict(self, X) -> np.ndarray:
         probs = self.predict_proba(X)

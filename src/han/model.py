@@ -22,20 +22,20 @@ from __future__ import annotations
 import io
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .attention import (
-    AttentionConfig,
     AttentionParams,
     PositionEmbeddingTable,
     attend_batch,
     init_attention_params,
 )
 from .autodiff import Tensor
-from .data import HandPartition, SkeletonSequence, partition_by_name
+from .config import HANConfig
+from .data import SkeletonSequence
 from .errors import CheckpointError, ConfigError, UsageError
 from .rng import Rng
 
@@ -43,77 +43,10 @@ SITES = ("J", "F", "T", "Fusion")
 STREAM_COUNT = 7  # 6 parts + whole hand
 
 
-@dataclass(frozen=True)
-class HANConfig:
-    attention: AttentionConfig = field(default_factory=AttentionConfig)
-    frames: int = 8
-    class_count: int = 14
-    partition: HandPartition | None = None  # None resolves to the 22-joint layout
-    pe_j: bool = True
-    pe_f: bool = True
-    pe_t: bool = True
-    pe_fusion: bool = True
-    share_j_att: bool = True
-    share_t_att: bool = True
-
-    def __post_init__(self):
-        if self.partition is None:
-            object.__setattr__(self, "partition", partition_by_name("shrec22"))
-        if self.frames < 1:
-            raise ConfigError(f"frames must be >= 1, got {self.frames}")
-        if self.class_count < 2:
-            raise ConfigError(f"class_count must be >= 2, got {self.class_count}")
-
-    @property
-    def joint_count(self) -> int:
-        return self.partition.joint_count
-
-    def to_dict(self) -> dict:
-        return {
-            "d_model": self.attention.d_model,
-            "n_heads": self.attention.n_heads,
-            "d_head": self.attention.d_head,
-            "dropout_rate": self.attention.dropout_rate,
-            "frames": self.frames,
-            "class_count": self.class_count,
-            "partition_name": self.partition.name,
-            "partition_parts": self.partition.to_lists(),
-            "pe_j": self.pe_j,
-            "pe_f": self.pe_f,
-            "pe_t": self.pe_t,
-            "pe_fusion": self.pe_fusion,
-            "share_j_att": self.share_j_att,
-            "share_t_att": self.share_t_att,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "HANConfig":
-        return HANConfig(
-            attention=AttentionConfig(
-                d_model=d["d_model"],
-                n_heads=d["n_heads"],
-                d_head=d["d_head"],
-                dropout_rate=d["dropout_rate"],
-            ),
-            frames=d["frames"],
-            class_count=d["class_count"],
-            partition=HandPartition(
-                parts=tuple(tuple(p) for p in d["partition_parts"]),
-                name=d.get("partition_name", "custom"),
-            ),
-            pe_j=d["pe_j"],
-            pe_f=d["pe_f"],
-            pe_t=d["pe_t"],
-            pe_fusion=d["pe_fusion"],
-            share_j_att=d["share_j_att"],
-            share_t_att=d["share_t_att"],
-        )
-
-
 class HANModel:
     """Parameter set for one configuration; see `parameters` for the registry."""
 
-    def __init__(self, config: HANConfig, dtype=np.float32, seed: int | None = 0):
+    def __init__(self, config: HANConfig, dtype=np.float32, seed: int = 0):
         self.config = config
         self.dtype = np.dtype(dtype).type
         att = config.attention
@@ -121,28 +54,13 @@ class HANModel:
         max_pos = max(config.frames, STREAM_COUNT, max(len(p) for p in config.partition.parts), 6) + 1
         self.pe_table = PositionEmbeddingTable(max_pos, d)
 
-        if seed is None:
-            # zero-filled skeleton, to be populated by a checkpoint loader
-            def draw_matrix(shape, bound):
-                return ad.parameter(np.zeros(shape), dtype=self.dtype)
+        rng = Rng(seed, "init")
 
-            def draw_block():
-                hw = att.heads_width
-                return AttentionParams(
-                    wk=draw_matrix((hw, d), 0.0),
-                    wq=draw_matrix((hw, d), 0.0),
-                    wv=draw_matrix((hw, d), 0.0),
-                    wa=draw_matrix((d, hw), 0.0),
-                    ba=ad.parameter(np.zeros(d), dtype=self.dtype),
-                )
-        else:
-            rng = Rng(seed, "init")
+        def draw_matrix(shape, bound):
+            return ad.parameter(rng.uniform(shape, -bound, bound), dtype=self.dtype)
 
-            def draw_matrix(shape, bound):
-                return ad.parameter(rng.uniform(shape, -bound, bound), dtype=self.dtype)
-
-            def draw_block():
-                return init_attention_params(att, rng, dtype=self.dtype)
+        def draw_block():
+            return init_attention_params(att, rng, dtype=self.dtype)
 
         self.joint_w = draw_matrix((d, 3), 1.0 / np.sqrt(3))
         self.joint_b = ad.parameter(np.zeros(d), dtype=self.dtype)
@@ -360,9 +278,10 @@ def extract_attention(seq, model: HANModel, site: str, *, frame: int | None = No
 #     u16  name length, then the UTF-8 name
 #     u8   ndim, then ndim x u32 dims
 #     u64  payload byte length, then row-major little-endian values
-#          (dtype from the config echo)
+#          (dtype from the config echo: float32 or float64)
 
 _MAGIC = b"HAN-CKPT v1\n"
+_DTYPES = ("float32", "float64")
 
 
 def save_checkpoint(model: HANModel, path: str) -> None:
@@ -408,12 +327,16 @@ def load_checkpoint(path: str) -> HANModel:
     (cfg_len,) = struct.unpack("<I", read_exact(4, "config length"))
     try:
         config_dict = json.loads(read_exact(cfg_len, "config").decode("utf-8"))
-        dtype = np.dtype(config_dict.pop("dtype"))
+        dtype_name = config_dict.pop("dtype")
         config = HANConfig.from_dict(config_dict)
-    except (ValueError, KeyError, ConfigError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: invalid checkpoint config: {exc}") from exc
+    if dtype_name not in _DTYPES:
+        raise CheckpointError(f"{path}: tensor dtype {dtype_name!r} is not one of {', '.join(_DTYPES)}")
+    dtype = np.dtype(dtype_name)
 
-    model = HANModel(config, dtype=dtype, seed=None)
+    # the seeded weights are placeholders: every tensor is overwritten below
+    model = HANModel(config, dtype=dtype)
     expected = dict(model.parameters())
     (count,) = struct.unpack("<I", read_exact(4, "tensor count"))
     if count != len(expected):
@@ -439,4 +362,7 @@ def load_checkpoint(path: str) -> HANModel:
         raw = read_exact(nbytes, f"tensor '{name}'")
         values = np.frombuffer(raw, dtype=dtype.newbyteorder("<")).astype(dtype)
         target.data = np.ascontiguousarray(values.reshape(dims))
+    trailing = len(blob) - buf.tell()
+    if trailing:
+        raise CheckpointError(f"{path}: {trailing} trailing bytes after the last tensor")
     return model

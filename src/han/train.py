@@ -16,35 +16,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GradientTape, Tensor
-from .data import AugmentationConfig, Dataset, SkeletonSequence, augment, uniform_sample
-from .errors import ConfigError, UsageError
+from .config import TrainConfig
+from .data import Dataset, SkeletonSequence, augment, uniform_sample
+from .errors import UsageError
 from .model import HANModel, forward, predict
 from .rng import Rng
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    lr_init: float = 0.001
-    batch_size: int = 32
-    warmup_epochs: int = 5
-    plateau_patience: int = 10
-    decay_factor: float = 10.0
-    max_decays: int = 4
-    seed: int = 0
-    max_epochs: int | None = None
-    augmentation: AugmentationConfig | None = field(default_factory=AugmentationConfig)
-
-    def __post_init__(self):
-        if self.lr_init <= 0:
-            raise ConfigError(f"lr_init must be positive, got {self.lr_init}")
-        if self.decay_factor <= 1:
-            raise ConfigError(f"decay_factor must be > 1, got {self.decay_factor}")
-        if self.max_decays < 1:
-            raise ConfigError(f"max_decays must be >= 1, got {self.max_decays}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.warmup_epochs < 0 or self.plateau_patience < 1:
-            raise ConfigError("warmup_epochs must be >= 0 and plateau_patience >= 1")
 
 
 def cross_entropy(logits: Tensor, label: int) -> Tensor:
@@ -145,12 +121,6 @@ class ScheduleState:
             if self.decays >= self.config.max_decays:
                 self.stopped = True
         return self.stopped
-
-
-def lr_schedule(state: ScheduleState, epoch: int, metric: float) -> tuple[float, bool]:
-    """Epoch-end schedule step: next learning rate and the stop flag."""
-    stop = state.observe(epoch, metric)
-    return state.lr_for_epoch(epoch + 1), stop
 
 
 @dataclass

@@ -280,18 +280,3 @@ class TestTapeAndBackward:
         x = Tensor(rand((4, 4)))
         for out in (ad.relu(x), ad.softmax(x, axis=1), ad.layer_norm(x, axis=1), ad.mean(x, axis=0)):
             assert np.all(np.isfinite(out.data))
-
-
-class TestDump:
-    def test_shape_line_and_values(self):
-        text = ad.dump(Tensor([[1.0, 2.0], [3.5, -4.25]]))
-        lines = text.strip().split("\n")
-        assert lines[0] == "2 2"
-        assert lines[1].split() == ["1", "2"]
-        assert lines[2].split() == ["3.5", "-4.25"]
-
-    def test_nine_significant_digits_roundtrip(self):
-        value = np.float32(0.123456789123)
-        text = ad.dump(Tensor([value]))
-        recovered = np.float32(float(text.strip().split("\n")[1]))
-        assert recovered == value

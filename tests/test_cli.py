@@ -217,3 +217,22 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "params=527118" in proc.stdout
+
+
+class TestJointsPartitionAgreement:
+    def test_profile_explicit_joints_contradicting_partition_exits_2(self, capsys):
+        assert main(["profile", "--joints", "22", "--partition", "fpha21"]) == 2
+        err = capsys.readouterr().err
+        assert "joints=22" in err and "fpha21" in err and "21 joints" in err
+
+    def test_profile_partition_alone_sets_joint_count(self, capsys):
+        assert main(["profile", "--partition", "fpha21"]) == 0
+        capsys.readouterr()
+
+    def test_train_partition_contradicting_manifest_exits_2(self, tmp_path, dataset_dir, capsys):
+        code = main(["train", "--manifest", str(dataset_dir / "manifest.tsv"),
+                     "--out", str(tmp_path / "o"), "--partition", "fpha21"] + FAST_TRAIN)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "joints=22" in err and "fpha21" in err
+        assert not (tmp_path / "o").exists()

@@ -15,7 +15,6 @@ from han.data import (
     load_partition,
     parse_sequence,
     partition_by_name,
-    partition_joints,
     uniform_sample,
     write_sequence,
 )
@@ -55,17 +54,6 @@ class TestPartitions:
     def test_gap_rejected(self):
         with pytest.raises(ConfigError):
             HandPartition(parts=((0,), (2,), (3,), (4,), (5,), (6,)))
-
-    def test_partition_joints_bookkeeping(self):
-        frame = np.stack([np.array([i, 0.0, 0.0]) for i in range(22)])
-        parts = partition_joints(frame, SHREC22)
-        assert np.allclose(parts[0][:, 0], [2, 3, 4, 5])  # thumb rows in listed order
-        total = np.concatenate([p[:, 0] for p in parts])
-        assert sorted(total.tolist()) == list(range(22))
-
-    def test_partition_joints_wrong_width(self):
-        with pytest.raises(ConfigError):
-            partition_joints(np.zeros((21, 3)), SHREC22)
 
     def test_partition_file_roundtrip(self, tmp_path):
         path = tmp_path / "parts.txt"

@@ -110,3 +110,12 @@ class TestInputValidation:
     def test_label_length_mismatch(self):
         with pytest.raises(UsageError):
             fast_estimator().fit([np.zeros((4, 6, 3))], np.array([0, 1]))
+
+
+class TestPredictUsesFittedGeometry:
+    def test_frames_changed_after_fit(self):
+        X, y = toy_xy(n_per_class=3)
+        est = fast_estimator(max_epochs=2).fit(X, y)
+        before = est.predict_proba(X)
+        est.set_params(frames=5)
+        assert np.array_equal(est.predict_proba(X), before)

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -316,3 +319,60 @@ class TestCheckpoint:
         open(path_t, "wb").write(blob[: len(blob) // 2])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path_t)
+
+    def test_load_overwrites_every_placeholder_tensor(self, tmp_path):
+        # load_checkpoint builds a seeded model and overwrites every tensor:
+        # nothing of the placeholder weights may survive the load
+        config = tiny_config(share_j_att=False)
+        model = HANModel(config, seed=8)
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path)
+        placeholder = HANModel(config, seed=0)
+        for (_, a), (_, b), (_, c) in zip(model.parameters(), loaded.parameters(), placeholder.parameters()):
+            assert np.array_equal(a.data, b.data)
+            if c.data.any():
+                assert not np.array_equal(b.data, c.data)
+
+
+def _with_config_echo(blob: bytes, **changes) -> bytes:
+    """The checkpoint bytes with keys of the JSON config echo replaced."""
+    magic = b"HAN-CKPT v1\n"
+    (n,) = struct.unpack("<I", blob[len(magic):len(magic) + 4])
+    start = len(magic) + 4
+    config = dict(json.loads(blob[start:start + n]), **changes)
+    payload = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return magic + struct.pack("<I", len(payload)) + payload + blob[start + n:]
+
+
+class TestCheckpointRejects:
+    @pytest.fixture
+    def blob(self, tmp_path):
+        path = str(tmp_path / "good.ckpt")
+        save_checkpoint(HANModel(tiny_config(), seed=8), path)
+        return open(path, "rb").read()
+
+    @pytest.mark.parametrize("dtype", ["bogus", "float16", "int64", 7])
+    def test_dtype_outside_float32_float64(self, tmp_path, blob, dtype):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(_with_config_echo(blob, dtype=dtype))
+        with pytest.raises(CheckpointError, match=r"bad\.ckpt.*dtype"):
+            load_checkpoint(str(path))
+
+    def test_float64_echo_accepted(self, tmp_path):
+        path = str(tmp_path / "m64.ckpt")
+        save_checkpoint(HANModel(tiny_config(), seed=8, dtype=np.float64), path)
+        assert load_checkpoint(path).dtype is np.float64
+
+    def test_trailing_bytes(self, tmp_path, blob):
+        path = tmp_path / "long.ckpt"
+        path.write_bytes(blob + b"\x00")
+        with pytest.raises(CheckpointError, match=r"long\.ckpt.*1 trailing byte"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("changes", [{"d_model": "wide"}, {"partition_parts": 5}])
+    def test_mistyped_config_values(self, tmp_path, blob, changes):
+        path = tmp_path / "typed.ckpt"
+        path.write_bytes(_with_config_echo(blob, **changes))
+        with pytest.raises(CheckpointError, match=r"typed\.ckpt"):
+            load_checkpoint(str(path))

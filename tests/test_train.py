@@ -15,7 +15,6 @@ from han.train import (
     adam_step,
     cross_entropy,
     evaluate,
-    lr_schedule,
     metrics_from_pairs,
     train_loop,
     write_confusion_csv,
@@ -149,10 +148,10 @@ class TestSchedule:
             if state.observe(epoch, metric=rng.uniform()):
                 break
 
-    def test_lr_schedule_wrapper(self):
+    def test_epoch_end_observe_then_next_lr(self):
         state = ScheduleState(TrainConfig(warmup_epochs=1, plateau_patience=1))
-        next_lr, stop = lr_schedule(state, 0, 0.9)
-        assert next_lr == pytest.approx(0.001)
+        stop = state.observe(0, 0.9)
+        assert state.lr_for_epoch(1) == pytest.approx(0.001)
         assert not stop
 
     def test_config_validation(self):
