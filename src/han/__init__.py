@@ -34,6 +34,7 @@ from .model import (
     forward,
     load_checkpoint,
     predict,
+    probabilities,
     save_checkpoint,
 )
 from .profile import CostReport, cost_report, count_flops, count_params
@@ -76,6 +77,7 @@ __all__ = [
     "forward",
     "load_checkpoint",
     "predict",
+    "probabilities",
     "save_checkpoint",
     "CostReport",
     "cost_report",

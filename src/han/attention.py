@@ -151,10 +151,13 @@ def attend_batch(
     params: AttentionParams,
     config: AttentionConfig,
     training: bool = False,
-    rng: Rng | None = None,
+    rng: Rng | list[Rng] | None = None,
     weights_out: list | None = None,
 ) -> Tensor:
     """Run the block on a batch of token groups: (B, N, d_model) -> (B, d_model).
+
+    `rng` is one dropout stream or a list of streams that split the B
+    groups evenly (see `autodiff.dropout`).
 
     When `weights_out` is a list, the per-head attention weights are appended
     to it as a (B, n_heads, N, N) array (detached from the tape).

@@ -116,9 +116,6 @@ class GradientTape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def _append(self, record: _Record) -> None:
-        self._records.append(record)
-
     def reset(self) -> None:
         """Drop all records and clear gradients on every tensor touched."""
         for rec in self._records:
@@ -138,7 +135,7 @@ def record_op(op: str, inputs: tuple[Tensor, ...], output: Tensor, backward_fn) 
     if output.requires_grad:
         stack = _active_tapes()
         if stack:
-            stack[-1]._append(_Record(op, inputs, output, backward_fn))
+            stack[-1]._records.append(_Record(op, inputs, output, backward_fn))
     return output
 
 
@@ -325,18 +322,24 @@ def tensor_sum(x: Tensor, axis: int | None = None) -> Tensor:
     return record_op("sum", (x,), out, bwd)
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng: Rng | None = None) -> Tensor:
+def dropout(x: Tensor, rate: float, training: bool, rng: Rng | list[Rng] | None = None) -> Tensor:
     """Inverted dropout: zero with probability `rate`, scale survivors by 1/(1-rate).
 
-    Identity in eval mode or at rate 0; neither consumes randomness.
+    `rng` is one stream, or a list of streams (one per sequence of a batch)
+    that each draw an equal, contiguous share of the leading axis. Identity
+    in eval mode or at rate 0; neither consumes randomness.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
-    if rng is None:
+    if not rng:
         raise UsageError("dropout in training mode needs an rng")
-    keep = ~rng.bernoulli(x.shape, rate)
+    streams = [rng] if isinstance(rng, Rng) else rng
+    if x.ndim == 0 or x.shape[0] % len(streams):
+        raise ShapeError(f"dropout cannot split shape {x.shape} over {len(streams)} streams")
+    share = (x.shape[0] // len(streams),) + x.shape[1:]
+    keep = ~np.concatenate([r.bernoulli(share, rate) for r in streams])
     m = keep.astype(x.data.dtype) / x.data.dtype.type(1.0 - rate)
     out = Tensor(x.data * m)
 

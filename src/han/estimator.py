@@ -15,7 +15,7 @@ import numpy as np
 from .config import ALIASES, DEFAULTS, build_configs
 from .data import SkeletonSequence, uniform_sample
 from .errors import UsageError
-from .model import HANModel, predict
+from .model import HANModel, probabilities
 from .train import TrainResult, train_loop
 from .validation import as_label_array, as_sequence_list
 
@@ -104,10 +104,8 @@ class HANClassifier:
         self._check_fitted()
         config = self.model_.config
         arrays = as_sequence_list(X, joint_count=config.joint_count)
-        return np.stack([
-            predict(uniform_sample(SkeletonSequence(frames=arr, label=0), config.frames), self.model_)[1]
-            for arr in arrays
-        ])
+        sampled = [uniform_sample(SkeletonSequence(frames=arr, label=0), config.frames) for arr in arrays]
+        return probabilities(sampled, self.model_)
 
     def predict(self, X) -> np.ndarray:
         probs = self.predict_proba(X)

@@ -1,6 +1,6 @@
 """The full hierarchical model: joints -> fingers -> hand -> time -> fusion.
 
-One forward pass over an 8-frame skeleton sequence:
+`forward` maps a batch of sampled sequences (B, T, J, 3) to (B, C) logits:
 
 1. every joint coordinate is linearly embedded to d_model,
 2. per frame, each of the 6 hand parts runs through the joint-level block
@@ -8,11 +8,12 @@ One forward pass over an 8-frame skeleton sequence:
 3. per frame, the 6 part features run through the finger-level block to
    give a hand feature,
 4. the 7 streams (6 parts + hand) each run through the temporal block over
-   the 8 frames (weights shared across streams by default),
+   the T frames (weights shared across streams by default),
 5. the 7 temporal features are fused by the fusion block,
 6. a fully connected layer maps the fused feature to class logits.
 
-Sinusoid position embeddings are added before steps 2-5 using 1-based
+Each site folds the batch into the leading axis of its `attend_batch`
+call. Sinusoid position embeddings are added before steps 2-5 using 1-based
 indices (joint slot within its part, part number, frame number, stream
 number); each addition can be toggled off independently.
 """
@@ -21,6 +22,8 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import secrets
 import struct
 from dataclasses import dataclass
 
@@ -41,6 +44,7 @@ from .rng import Rng
 
 SITES = ("J", "F", "T", "Fusion")
 STREAM_COUNT = 7  # 6 parts + whole hand
+EVAL_CHUNK = 8  # sequences per eval-mode forward in `probabilities`; bounds peak memory
 
 
 class HANModel:
@@ -82,139 +86,112 @@ class HANModel:
     def parameters(self) -> list[tuple[str, Tensor]]:
         """Every learnable tensor with a stable name, in a fixed order."""
         out: list[tuple[str, Tensor]] = [("joint.w", self.joint_w), ("joint.b", self.joint_b)]
-        if self.config.share_j_att:
-            out += self.j_att[0].named("j_att")
-        else:
-            for i, blk in enumerate(self.j_att):
-                out += blk.named(f"j_att.{i}")
-        out += self.f_att.named("f_att")
-        if self.config.share_t_att:
-            out += self.t_att[0].named("t_att")
-        else:
-            for i, blk in enumerate(self.t_att):
-                out += blk.named(f"t_att.{i}")
-        out += self.fusion_att.named("fusion_att")
-        out += [("cls.w", self.cls_w), ("cls.b", self.cls_b)]
-        return out
+        for prefix, blocks in (("j_att", self.j_att), ("f_att", [self.f_att]),
+                               ("t_att", self.t_att), ("fusion_att", [self.fusion_att])):
+            for i, blk in enumerate(blocks):
+                out += blk.named(prefix if len(blocks) == 1 else f"{prefix}.{i}")
+        return out + [("cls.w", self.cls_w), ("cls.b", self.cls_b)]
 
     def param_count(self) -> int:
         return sum(t.size for _, t in self.parameters())
 
 
-def _pe_const(model: HANModel, positions, lead_shape) -> Tensor:
-    """Constant tensor of sinusoid rows broadcast to (lead..., len(positions), d)."""
-    block = model.pe_table.block(positions, dtype=model.dtype)
-    full = np.broadcast_to(block, tuple(lead_shape) + block.shape).copy()
-    return ad.constant(full)
-
-
-def _frames_array(seq, model: HANModel) -> np.ndarray:
-    frames = seq.frames if isinstance(seq, SkeletonSequence) else np.asarray(seq)
+def _batch_array(seqs, model: HANModel) -> np.ndarray:
+    """(B, T, J, 3) frames of a batch given as a list of sampled sequences or one array."""
     cfg = model.config
-    if frames.ndim != 3 or frames.shape[2] != 3:
-        raise UsageError(f"sequence frames must be (T, J, 3), got {frames.shape}")
-    if frames.shape[0] != cfg.frames:
-        raise UsageError(f"model expects {cfg.frames} frames, got {frames.shape[0]}; sample the sequence first")
-    if frames.shape[1] != cfg.joint_count:
-        raise ConfigError(f"model expects {cfg.joint_count} joints, got {frames.shape[1]}")
-    return frames.astype(model.dtype)
+    if isinstance(seqs, (list, tuple)):
+        batch = [s.frames if isinstance(s, SkeletonSequence) else np.asarray(s) for s in seqs]
+    else:
+        batch = np.asarray(seqs)
+    if len(batch) == 0 or isinstance(batch, np.ndarray) and batch.ndim != 4:
+        raise UsageError(f"forward takes a batch of one or more (T, J, 3) sequences, got {np.shape(batch)}")
+    for frames in batch:
+        if frames.ndim != 3 or frames.shape[2] != 3:
+            raise UsageError(f"sequence frames must be (T, J, 3), got {frames.shape}")
+        if frames.shape[0] != cfg.frames:
+            raise UsageError(f"model expects {cfg.frames} frames, got {frames.shape[0]}; sample the sequence first")
+        if frames.shape[1] != cfg.joint_count:
+            raise ConfigError(f"model expects {cfg.joint_count} joints, got {frames.shape[1]}")
+    return np.asarray(batch, dtype=model.dtype)
 
 
-def _joint_stage(model, embedded, training, rng, capture) -> list[Tensor]:
-    """Per-part aggregation over joints: returns 6 tensors of shape (T, d)."""
-    cfg = model.config
-    part_feats = []
-    for p_idx, part in enumerate(cfg.partition.parts):
-        tokens = ad.take(embedded, list(part), axis=1)          # (T, n_p, d)
-        if cfg.pe_j:
-            pe = _pe_const(model, range(1, len(part) + 1), (cfg.frames,))
-            tokens = ad.add(tokens, pe)
-        sink = [] if capture is not None else None
-        feats = attend_batch(tokens, model.j_att_for_part(p_idx), cfg.attention, training, rng, sink)
-        if capture is not None:
-            capture[("J", p_idx)] = sink[0]                     # (T, H, n_p, n_p)
-        part_feats.append(feats)
-    return part_feats
-
-
-def _finger_stage(model, part_feats, training, rng, capture) -> Tensor:
-    """Hand feature per frame from the 6 part features: (T, d)."""
-    cfg = model.config
-    hand_in = ad.stack(part_feats, axis=1)                      # (T, 6, d)
-    if cfg.pe_f:
-        hand_in = ad.add(hand_in, _pe_const(model, range(1, 7), (cfg.frames,)))
+def _attend_site(model, key, tokens, blocks, use_pe, training, rng, capture) -> Tensor:
+    """Aggregate token groups (B, G, N, d) to (B, G, d): one call on (B*G, N, d)
+    with one shared block, else one call on (B, N, d) per group's block. The
+    batch-major fold gives each sequence's dropout stream a contiguous share."""
+    att = model.config.attention
+    b, g, n, d = tokens.shape
+    if use_pe:
+        pe = model.pe_table.block(range(1, n + 1), dtype=model.dtype)
+        tokens = ad.add(tokens, ad.constant(np.broadcast_to(pe, tokens.shape).copy()))
     sink = [] if capture is not None else None
-    hand = attend_batch(hand_in, model.f_att, cfg.attention, training, rng, sink)
+    if len(blocks) == 1:
+        out = attend_batch(ad.reshape(tokens, (b * g, n, d)), blocks[0], att, training, rng, sink)
+        out = ad.reshape(out, (b, g, d))
+    else:
+        out = ad.stack([
+            attend_batch(ad.reshape(ad.take(tokens, [i], axis=1), (b, n, d)), blk, att, training, rng, sink)
+            for i, blk in enumerate(blocks)
+        ], axis=1)
     if capture is not None:
-        capture[("F",)] = sink[0]                               # (T, H, 6, 6)
-    return hand
-
-
-def _temporal_stage(model, streams, training, rng, capture) -> Tensor:
-    """Aggregate each of the 7 streams over time: (7, d)."""
-    cfg = model.config
-    frame_positions = range(1, cfg.frames + 1)
-    if cfg.share_t_att:
-        tin = ad.stack(streams, axis=0)                         # (7, T, d)
-        if cfg.pe_t:
-            tin = ad.add(tin, _pe_const(model, frame_positions, (STREAM_COUNT,)))
-        sink = [] if capture is not None else None
-        out = attend_batch(tin, model.t_att[0], cfg.attention, training, rng, sink)
-        if capture is not None:
-            capture[("T",)] = sink[0]                           # (7, H, T, T)
-        return out
-    feats = []
-    sinks = []
-    for s_idx, stream in enumerate(streams):
-        tin = ad.reshape(stream, (1, cfg.frames, cfg.attention.d_model))
-        if cfg.pe_t:
-            tin = ad.add(tin, _pe_const(model, frame_positions, (1,)))
-        sink = [] if capture is not None else None
-        out = attend_batch(tin, model.t_att_for_stream(s_idx), cfg.attention, training, rng, sink)
-        feats.append(ad.reshape(out, (cfg.attention.d_model,)))
-        if capture is not None:
-            sinks.append(sink[0][0])
-    if capture is not None:
-        capture[("T",)] = np.stack(sinks)
-    return ad.stack(feats, axis=0)
+        capture[key] = np.stack(sink, axis=1).reshape(b, g, att.n_heads, n, n)
+    return out
 
 
 def _fusion_stage(model, stream_feats, training, rng, capture) -> Tensor:
-    """Fuse the 7 temporal features into one gesture feature: (d,)."""
-    cfg = model.config
-    fin = ad.reshape(stream_feats, (1, STREAM_COUNT, cfg.attention.d_model))
-    if cfg.pe_fusion:
-        fin = ad.add(fin, _pe_const(model, range(1, STREAM_COUNT + 1), (1,)))
-    sink = [] if capture is not None else None
-    fused = attend_batch(fin, model.fusion_att, cfg.attention, training, rng, sink)
-    if capture is not None:
-        capture[("Fusion",)] = sink[0][0]                       # (H, 7, 7)
-    return ad.reshape(fused, (cfg.attention.d_model,))
+    """Fuse the 7 temporal features (B, 7, d) into one gesture feature each: (B, d)."""
+    b, _, d = stream_feats.shape
+    fin = ad.reshape(stream_feats, (b, 1, STREAM_COUNT, d))
+    fused = _attend_site(model, ("Fusion",), fin, [model.fusion_att], model.config.pe_fusion,
+                         training, rng, capture)
+    return ad.reshape(fused, (b, d))
 
 
-def forward(seq, model: HANModel, training: bool = False, rng: Rng | None = None,
+def forward(seqs, model: HANModel, training: bool = False, rng: Rng | list[Rng] | None = None,
             capture: dict | None = None) -> Tensor:
-    """Class logits for one already-sampled sequence; softmax lives in predict/loss."""
-    cfg = model.config
-    frames = _frames_array(seq, model)
-    t, j = cfg.frames, cfg.joint_count
-    coords = ad.constant(frames.reshape(t * j, 3))
-    embedded = ad.reshape(ad.linear(coords, model.joint_w, model.joint_b), (t, j, cfg.attention.d_model))
+    """Class logits (B, C) for a list of sampled sequences or one (B, T, J, 3) array.
 
-    part_feats = _joint_stage(model, embedded, training, rng, capture)
-    hand_feats = _finger_stage(model, part_feats, training, rng, capture)
-    stream_feats = _temporal_stage(model, part_feats + [hand_feats], training, rng, capture)
+    Training mode takes one dropout stream per sequence (or one stream for
+    B=1); `capture` gets every site's (B, G, H, N, N) attention weights.
+    """
+    cfg = model.config
+    frames = _batch_array(seqs, model)
+    b, t, j, _ = frames.shape
+    d = cfg.attention.d_model
+    rng = [rng] if isinstance(rng, Rng) else rng
+    if rng is not None and len(rng) != b:
+        raise UsageError(f"forward got {len(rng)} dropout streams for {b} sequences")
+    coords = ad.constant(frames.reshape(b * t * j, 3))
+    embedded = ad.reshape(ad.linear(coords, model.joint_w, model.joint_b), (b, t, j, d))
+
+    part_feats = []                                             # 6 x (B, T, d)
+    for p_idx, part in enumerate(cfg.partition.parts):
+        tokens = ad.take(embedded, list(part), axis=2)          # (B, T, n_p, d)
+        part_feats.append(_attend_site(model, ("J", p_idx), tokens, [model.j_att_for_part(p_idx)],
+                                       cfg.pe_j, training, rng, capture))
+    hand_in = ad.stack(part_feats, axis=2)                      # (B, T, 6, d)
+    hand = _attend_site(model, ("F",), hand_in, [model.f_att], cfg.pe_f, training, rng, capture)
+    streams = ad.stack(part_feats + [hand], axis=1)             # (B, 7, T, d)
+    stream_feats = _attend_site(model, ("T",), streams, model.t_att, cfg.pe_t, training, rng, capture)
     fused = _fusion_stage(model, stream_feats, training, rng, capture)
-    logits = ad.linear(ad.reshape(fused, (1, cfg.attention.d_model)), model.cls_w, model.cls_b)
-    return ad.reshape(logits, (cfg.class_count,))
+    return ad.linear(fused, model.cls_w, model.cls_b)
+
+
+def probabilities(seqs, model: HANModel) -> np.ndarray:
+    """Eval-mode class probabilities (B, C) in float64, forwarded EVAL_CHUNK sequences at a time."""
+    if len(seqs) == 0:
+        raise UsageError("probabilities needs at least one sequence")
+    logits = np.concatenate([
+        forward(seqs[start:start + EVAL_CHUNK], model).data.astype(np.float64)
+        for start in range(0, len(seqs), EVAL_CHUNK)
+    ])
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def predict(seq, model: HANModel) -> tuple[int, np.ndarray]:
-    """Eval-mode class index and probability vector; ties go to the lowest index."""
-    logits = forward(seq, model, training=False).data.astype(np.float64)
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    probs = e / e.sum()
+    """Eval-mode class index and probability vector of one sequence; ties go to the lowest index."""
+    probs = probabilities([seq], model)[0]
     return int(np.argmax(probs)), probs
 
 
@@ -240,7 +217,8 @@ def extract_attention(seq, model: HANModel, site: str, *, frame: int | None = No
     if site not in SITES:
         raise UsageError(f"site must be one of {SITES}, got '{site}'")
     capture: dict = {}
-    forward(seq, model, training=False, capture=capture)
+    forward([seq], model, training=False, capture=capture)
+    capture = {key: maps[0] for key, maps in capture.items()}     # (G, H, N, N) per site
 
     def need(value, name, bound):
         if value is None:
@@ -260,7 +238,7 @@ def extract_attention(seq, model: HANModel, site: str, *, frame: int | None = No
         s = need(stream, "stream", STREAM_COUNT)
         per_head = capture[("T",)][s]
     else:
-        per_head = capture[("Fusion",)]
+        per_head = capture[("Fusion",)][0]
     head_avg = per_head.mean(axis=0)
     frame_sums = head_avg.sum(axis=0) if site == "T" else None
     return AttentionMaps(site=site, per_head=per_head, head_avg=head_avg, frame_sums=frame_sums)
@@ -303,8 +281,15 @@ def save_checkpoint(model: HANModel, path: str) -> None:
         raw = np.ascontiguousarray(tensor.data).astype(tensor.data.dtype.newbyteorder("<")).tobytes()
         buf.write(struct.pack("<Q", len(raw)))
         buf.write(raw)
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    # rename a finished file over the target: a failed save keeps the old checkpoint
+    tmp = f"{path}.{os.getpid()}-{secrets.token_hex(4)}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(buf.getvalue())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path: str) -> HANModel:
@@ -361,6 +346,8 @@ def load_checkpoint(path: str) -> HANModel:
             raise CheckpointError(f"{path}: tensor '{name}' payload is {nbytes} bytes, expected {want_bytes}")
         raw = read_exact(nbytes, f"tensor '{name}'")
         values = np.frombuffer(raw, dtype=dtype.newbyteorder("<")).astype(dtype)
+        if not np.all(np.isfinite(values)):
+            raise CheckpointError(f"{path}: tensor '{name}' holds non-finite values")
         target.data = np.ascontiguousarray(values.reshape(dims))
     trailing = len(blob) - buf.tell()
     if trailing:

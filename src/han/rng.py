@@ -41,12 +41,13 @@ def _mix64_int(z: int) -> int:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    # uint64 arrays wrap silently in numpy; scalars would warn, so stay vectorized
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(_MIX1)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    # in place; uint64 arrays wrap silently in numpy, scalars would warn
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 class Rng:
@@ -68,15 +69,21 @@ class Rng:
         return Rng(self.seed, child)
 
     def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
+        z = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
-        return _mix64_array(np.uint64(self._state0) + idx * np.uint64(_GOLDEN))
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(self._state0)
+        return _mix64_array(z)
 
     def uniform(self, shape=None, low: float = 0.0, high: float = 1.0):
         """Uniform float64 samples in [low, high)."""
         n = 1 if shape is None else int(np.prod(shape))
-        u = (self._raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        out = low + (high - low) * u
+        raw = self._raw(n)
+        raw >>= np.uint64(11)
+        out = raw.astype(np.float64)
+        out *= 2.0**-53
+        out *= high - low               # in place, and equal to low + (high - low) * u
+        out += low
         if shape is None:
             return float(out[0])
         return out.reshape(shape)

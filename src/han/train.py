@@ -19,27 +19,29 @@ from .autodiff import GradientTape, Tensor
 from .config import TrainConfig
 from .data import Dataset, SkeletonSequence, augment, uniform_sample
 from .errors import UsageError
-from .model import HANModel, forward, predict
+from .model import HANModel, forward, probabilities
 from .rng import Rng
 
 
-def cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """-log softmax(logits)[label], computed through log-sum-exp."""
-    if logits.ndim != 1:
-        raise UsageError(f"cross_entropy needs a 1-d logits vector, got {logits.shape}")
-    c = logits.shape[0]
-    if not 0 <= label < c:
-        raise UsageError(f"label {label} out of range for {c} classes")
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Batch mean of -log softmax(logits[b])[labels[b]], computed through log-sum-exp."""
+    labels = np.asarray(labels)
+    if logits.ndim != 2 or labels.shape != logits.shape[:1] or labels.size == 0 or labels.dtype.kind not in "iu":
+        raise UsageError(f"cross_entropy needs (B, C) logits and B int labels, got {logits.shape}, {labels}")
+    b, c = logits.shape
+    if labels.min() < 0 or labels.max() >= c:
+        raise UsageError(f"labels {labels.tolist()} out of range for {c} classes")
+    rows = np.arange(b)
     z = logits.data
-    m = z.max()
-    lse = m + np.log(np.sum(np.exp(z - m)))
-    out = Tensor(np.asarray(lse - z[label], dtype=z.dtype))
+    m = z.max(axis=1, keepdims=True)
+    lse = m + np.log(np.sum(np.exp(z - m), axis=1, keepdims=True))
+    out = Tensor(np.asarray(np.mean(lse[:, 0] - z[rows, labels]), dtype=z.dtype))
     sm = np.exp(z - lse)
 
     def bwd(g):
         grad = sm.copy()
-        grad[label] -= 1.0
-        return (g * grad,)
+        grad[rows, labels] -= 1.0
+        return (g * grad / b,)
 
     return ad.record_op("cross_entropy", (logits,), out, bwd)
 
@@ -146,13 +148,11 @@ def metrics_from_pairs(true_labels, pred_labels, class_count: int) -> EvalReport
 def evaluate(model: HANModel, sequences: list[SkeletonSequence], class_count: int | None = None) -> EvalReport:
     """Deterministic eval-mode accuracy and confusion matrix over a split."""
     c = class_count if class_count is not None else model.config.class_count
-    true, pred = [], []
-    for seq in sequences:
-        sampled = uniform_sample(seq, model.config.frames)
-        cls, _ = predict(sampled, model)
-        true.append(seq.label)
-        pred.append(cls)
-    return metrics_from_pairs(true, pred, c)
+    pred = []
+    if sequences:
+        sampled = [uniform_sample(seq, model.config.frames) for seq in sequences]
+        pred = np.argmax(probabilities(sampled, model), axis=1)
+    return metrics_from_pairs([seq.label for seq in sequences], pred, c)
 
 
 @dataclass
@@ -206,20 +206,19 @@ def train_loop(
         loss_sum = 0.0
         correct = 0
         for start in range(0, len(order), config.batch_size):
-            batch = order[start:start + config.batch_size]
+            batch = [int(gi) for gi in order[start:start + config.batch_size]]
+            sampled = []
+            for gi in batch:
+                seq = train_seqs[gi]
+                if config.augmentation is not None:
+                    seq = augment(seq, config.augmentation, root.stream(f"augment/{epoch}/{gi}"))
+                sampled.append(uniform_sample(seq, frames_t))
+            labels = np.array([train_seqs[gi].label for gi in batch])
+            drop_rngs = [root.stream(f"dropout/{epoch}/{gi}") for gi in batch]
             with GradientTape() as tape:
-                losses = []
-                for gi in batch:
-                    seq = train_seqs[int(gi)]
-                    if config.augmentation is not None:
-                        seq = augment(seq, config.augmentation, root.stream(f"augment/{epoch}/{int(gi)}"))
-                    sampled = uniform_sample(seq, frames_t)
-                    drop_rng = root.stream(f"dropout/{epoch}/{int(gi)}")
-                    logits = forward(sampled, model, training=True, rng=drop_rng)
-                    losses.append(cross_entropy(logits, train_seqs[int(gi)].label))
-                    if int(np.argmax(logits.data)) == train_seqs[int(gi)].label:
-                        correct += 1
-                batch_loss = ad.mean(ad.stack(losses, axis=0), axis=0)
+                logits = forward(sampled, model, training=True, rng=drop_rngs)
+                batch_loss = cross_entropy(logits, labels)
+            correct += int(np.sum(np.argmax(logits.data, axis=1) == labels))
             ad.backward(batch_loss, tape)
             grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
             adam_step(params, grads, adam, lr)

@@ -78,11 +78,11 @@ def test_criterion_03_gradient_correctness_tiny_config():
     label = 1
 
     with GradientTape() as tape:
-        loss = cross_entropy(forward(frames, model), label)
+        loss = cross_entropy(forward([frames], model), [label])
     backward(loss, tape)
 
     def loss_value():
-        return cross_entropy(forward(frames, model), label).item()
+        return cross_entropy(forward([frames], model), [label]).item()
 
     worst = 0.0
     checked = 0
@@ -141,23 +141,23 @@ def test_criterion_05_permutation_invariance_suite():
 
     model = build(mixed, pe_on=False)
     frames = RS.uniform(-1, 1, (4, 8, 3))
-    base = forward(frames, model).data
+    base = forward([frames], model).data
 
     # joints within a part
     swapped = frames.copy()
     swapped[:, [0, 1]] = swapped[:, [1, 0]]
-    assert np.max(np.abs(forward(swapped, model).data - base)) < 1e-5
+    assert np.max(np.abs(forward([swapped], model).data - base)) < 1e-5
     # the 6 parts (partition relabeling carries the F-level and 6 of 7 streams)
     permuted = build(HandPartition(parts=((2, 3), (0, 1), (4,), (5,), (6,), (7,)), name="toy8p"), pe_on=False)
     for (_, a), (_, b) in zip(model.parameters(), permuted.parameters()):
         b.data = a.data.copy()
-    assert np.max(np.abs(forward(frames, permuted).data - base)) < 1e-5
+    assert np.max(np.abs(forward([frames], permuted).data - base)) < 1e-5
     # the frames
-    assert np.max(np.abs(forward(frames[[3, 1, 0, 2]], model).data - base)) < 1e-5
+    assert np.max(np.abs(forward([frames[[3, 1, 0, 2]]], model).data - base)) < 1e-5
     # the 7 fusion streams, driven directly through the fusion stage
     streams = ad.constant(RS.uniform(-1, 1, (7, 6)), dtype=np.float64)
-    fused = _fusion_stage(model, streams, False, None, None).data
-    moved = _fusion_stage(model, ad.constant(streams.data[RS.permutation(7)]), False, None, None).data
+    fused = _fusion_stage(model, ad.reshape(streams, (1, 7, 6)), False, None, None).data
+    moved = _fusion_stage(model, ad.constant(streams.data[RS.permutation(7)][None]), False, None, None).data
     assert np.max(np.abs(fused - moved)) < 1e-5
 
     # with embeddings on, frame order must matter on every random input
@@ -165,8 +165,8 @@ def test_criterion_05_permutation_invariance_suite():
     changed = 0
     for _ in range(100):
         x = RS.uniform(-1, 1, (4, 8, 3))
-        a = forward(x, model_pe).data
-        b = forward(x[[1, 0, 3, 2]], model_pe).data
+        a = forward([x], model_pe).data
+        b = forward([x[[1, 0, 3, 2]]], model_pe).data
         changed += bool(np.max(np.abs(a - b)) > 1e-9)
     assert changed == 100
     elapsed = time.time() - start

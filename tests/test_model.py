@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 
 import numpy as np
@@ -17,6 +18,7 @@ from han.model import (
     predict,
     save_checkpoint,
 )
+from han.rng import Rng
 from han.train import cross_entropy
 
 from conftest import MIXED_PARTITION, TOY_PARTITION, tiny_config
@@ -33,27 +35,27 @@ class TestForwardBasics:
     def test_logit_shape_and_finiteness(self):
         config = HANConfig()
         model = HANModel(config, seed=3)
-        logits = forward(rand_frames(config), model)
-        assert logits.shape == (14,)
+        logits = forward([rand_frames(config)], model)
+        assert logits.shape == (1, 14)
         assert np.all(np.isfinite(logits.data))
 
     def test_eval_determinism(self):
         config = tiny_config(dropout=0.3)
         model = HANModel(config, seed=4, dtype=np.float64)
         x = rand_frames(config)
-        assert np.array_equal(forward(x, model).data, forward(x, model).data)
+        assert np.array_equal(forward([x], model).data, forward([x], model).data)
 
     def test_frame_count_checked(self):
         config = tiny_config()
         model = HANModel(config, seed=1)
         with pytest.raises(UsageError, match="frames"):
-            forward(RS.uniform(-1, 1, (5, 6, 3)), model)
+            forward([RS.uniform(-1, 1, (5, 6, 3))], model)
 
     def test_joint_count_checked(self):
         config = tiny_config()
         model = HANModel(config, seed=1)
         with pytest.raises(ConfigError, match="joints"):
-            forward(RS.uniform(-1, 1, (2, 7, 3)), model)
+            forward([RS.uniform(-1, 1, (2, 7, 3))], model)
 
     def test_registry_count_at_defaults(self):
         model = HANModel(HANConfig(), seed=0)
@@ -105,7 +107,7 @@ class TestTinyOracle:
             "cls_w": model.cls_w.data.tolist(),
             "cls_b": model.cls_b.data.tolist(),
         }
-        got = forward(frames, model).data
+        got = forward([frames], model).data[0]
         want = scalar_tiny_model_reference(
             frames.tolist(), weights, [list(p) for p in TOY_PARTITION.parts],
             n_heads=1, d_head=4, pe_flags={"j": True, "f": True, "t": True, "fusion": True},
@@ -131,12 +133,42 @@ class TestTinyOracle:
             "cls_w": model.cls_w.data.tolist(),
             "cls_b": model.cls_b.data.tolist(),
         }
-        got = forward(frames, model).data
+        got = forward([frames], model).data[0]
         want = scalar_tiny_model_reference(
             frames.tolist(), weights, [list(p) for p in MIXED_PARTITION.parts],
             n_heads=2, d_head=3, pe_flags={"j": True, "f": True, "t": True, "fusion": True},
         )
         assert np.max(np.abs(got - np.asarray(want))) < 1e-9
+
+
+    def test_batch_rows_match_reference(self):
+        # three sequences in one forward: every row is its own sequence's logits
+        config = HANConfig(
+            attention=AttentionConfig(d_model=6, n_heads=2, d_head=3, dropout_rate=0.0),
+            frames=3,
+            class_count=4,
+            partition=MIXED_PARTITION,
+        )
+        model = HANModel(config, seed=29, dtype=np.float64)
+        batch = np.random.RandomState(43).uniform(-1.0, 1.0, (3, 3, 8, 3))
+        weights = {
+            "joint_w": model.joint_w.data.tolist(),
+            "joint_b": model.joint_b.data.tolist(),
+            "j_att": {k: getattr(model.j_att[0], k).data.tolist() for k in ("wk", "wq", "wv", "wa", "ba")},
+            "f_att": {k: getattr(model.f_att, k).data.tolist() for k in ("wk", "wq", "wv", "wa", "ba")},
+            "t_att": {k: getattr(model.t_att[0], k).data.tolist() for k in ("wk", "wq", "wv", "wa", "ba")},
+            "fusion_att": {k: getattr(model.fusion_att, k).data.tolist() for k in ("wk", "wq", "wv", "wa", "ba")},
+            "cls_w": model.cls_w.data.tolist(),
+            "cls_b": model.cls_b.data.tolist(),
+        }
+        got = forward(batch, model).data
+        assert got.shape == (3, 4)
+        for row, frames in zip(got, batch):
+            want = scalar_tiny_model_reference(
+                frames.tolist(), weights, [list(p) for p in MIXED_PARTITION.parts],
+                n_heads=2, d_head=3, pe_flags={"j": True, "f": True, "t": True, "fusion": True},
+            )
+            assert np.max(np.abs(row - np.asarray(want))) < 1e-9
 
 
 class TestPredict:
@@ -165,15 +197,61 @@ class TestGradients:
         label = 2
 
         def loss_value():
-            return cross_entropy(forward(frames, model), label).item()
+            return cross_entropy(forward([frames], model), [label]).item()
 
         with GradientTape() as tape:
-            loss = cross_entropy(forward(frames, model), label)
+            loss = cross_entropy(forward([frames], model), [label])
         backward(loss, tape)
         for name, p in model.parameters():
             got = p.grad if p.grad is not None else np.zeros_like(p.data)
             want = central_difference(loss_value, p.data)
             assert max_relative_error(got, want) < 1e-4, f"gradient mismatch for {name}"
+
+
+class TestBatchGrouping:
+    """A batch computes what its sequences compute one at a time, dropout included."""
+
+    @staticmethod
+    def streams(indices):
+        return [Rng(5, f"dropout/0/{i}") for i in indices]
+
+    @staticmethod
+    def loss_and_grads(model, frames, labels, rngs):
+        with GradientTape() as tape:
+            logits = forward(frames, model, training=True, rng=rngs)
+            loss = cross_entropy(logits, labels)
+        backward(loss, tape)
+        grads = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for _, p in model.parameters()]
+        tape.reset()
+        return logits.data, grads
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_batch_of_five_matches_five_single_calls(self, shared):
+        config = tiny_config(dropout=0.2, frames=3, partition=MIXED_PARTITION,
+                             share_j_att=shared, share_t_att=shared)
+        model = HANModel(config, seed=37, dtype=np.float64)
+        frames = np.random.RandomState(47).uniform(-1, 1, (5, 3, 8, 3))
+        labels = [0, 3, 1, 1, 2]
+
+        logits, grads = self.loss_and_grads(model, frames, labels, self.streams(range(5)))
+        singles = [self.loss_and_grads(model, frames[i:i + 1], labels[i:i + 1], self.streams([i]))
+                   for i in range(5)]
+
+        want_logits = np.concatenate([one for one, _ in singles])
+        assert max_relative_error(logits, want_logits) <= 1e-10
+        # dropout did act: eval-mode logits differ from the training-mode ones
+        assert np.max(np.abs(forward(frames, model).data - logits)) > 1e-6
+        for k, (name, _) in enumerate(model.parameters()):
+            want = np.mean([g[k] for _, g in singles], axis=0)
+            assert max_relative_error(grads[k], want) <= 1e-10, name
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_stream_count_must_match_batch(self, count):
+        # one stream for a whole batch would make the masks depend on the grouping
+        model = HANModel(tiny_config(dropout=0.2), seed=37)
+        rng = self.streams(range(count))
+        with pytest.raises(UsageError, match=f"{count} dropout streams for 3 sequences"):
+            forward(np.zeros((3, 2, 6, 3)), model, training=True, rng=rng[0] if count == 1 else rng)
 
 
 class TestPermutationSymmetries:
@@ -192,8 +270,8 @@ class TestPermutationSymmetries:
         frames = RS.uniform(-1, 1, (3, 8, 3))
         swapped = frames.copy()
         swapped[:, [0, 1]] = swapped[:, [1, 0]]  # part 0 holds joints (0, 1)
-        a = forward(frames, model).data
-        b = forward(swapped, model).data
+        a = forward([frames], model).data
+        b = forward([swapped], model).data
         assert np.max(np.abs(a - b)) < 1e-5
 
     def test_part_permutation(self):
@@ -204,16 +282,16 @@ class TestPermutationSymmetries:
         permuted_model = self.no_pe_model(partition=permuted_partition)
         for (_, a), (_, b) in zip(model.parameters(), permuted_model.parameters()):
             b.data = a.data.copy()
-        a = forward(frames, model).data
-        b = forward(frames, permuted_model).data
+        a = forward([frames], model).data
+        b = forward([frames], permuted_model).data
         assert np.max(np.abs(a - b)) < 1e-5
 
     def test_frame_permutation_without_pe(self):
         model = self.no_pe_model()
         frames = RS.uniform(-1, 1, (3, 8, 3))
         perm = np.array([2, 0, 1])
-        a = forward(frames, model).data
-        b = forward(frames[perm], model).data
+        a = forward([frames], model).data
+        b = forward([frames[perm]], model).data
         assert np.max(np.abs(a - b)) < 1e-5
 
     def test_stream_permutation_without_pe(self):
@@ -223,9 +301,9 @@ class TestPermutationSymmetries:
 
         model = self.no_pe_model()
         streams = ad.constant(RS.uniform(-1, 1, (7, 6)), dtype=np.float64)
-        base = _fusion_stage(model, streams, False, None, None).data
+        base = _fusion_stage(model, ad.reshape(streams, (1, 7, 6)), False, None, None).data
         perm = RS.permutation(7)
-        moved = _fusion_stage(model, ad.constant(streams.data[perm]), False, None, None).data
+        moved = _fusion_stage(model, ad.constant(streams.data[perm][None]), False, None, None).data
         assert np.max(np.abs(base - moved)) < 1e-5
 
     def test_frame_permutation_with_pe_changes_logits(self):
@@ -233,8 +311,8 @@ class TestPermutationSymmetries:
         model = HANModel(config, seed=3, dtype=np.float64)
         frames = RS.uniform(-1, 1, (4, 6, 3))
         perm = np.array([3, 2, 1, 0])
-        a = forward(frames, model).data
-        b = forward(frames[perm], model).data
+        a = forward([frames], model).data
+        b = forward([frames[perm]], model).data
         assert np.max(np.abs(a - b)) > 1e-6
 
 
@@ -320,6 +398,20 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path_t)
 
+    def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(HANModel(tiny_config(), seed=8), path)
+        before = open(path, "rb").read()
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(HANModel(tiny_config(), seed=9), path)
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["m.ckpt"]
+
     def test_load_overwrites_every_placeholder_tensor(self, tmp_path):
         # load_checkpoint builds a seeded model and overwrites every tensor:
         # nothing of the placeholder weights may survive the load
@@ -376,3 +468,12 @@ class TestCheckpointRejects:
         path.write_bytes(_with_config_echo(blob, **changes))
         with pytest.raises(CheckpointError, match=r"typed\.ckpt"):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_weights(self, tmp_path, value):
+        model = HANModel(tiny_config(), seed=8)
+        model.cls_b.data[1] = value
+        path = str(tmp_path / "nonfinite.ckpt")
+        save_checkpoint(model, path)
+        with pytest.raises(CheckpointError, match=r"nonfinite\.ckpt.*'cls\.b'.*non-finite"):
+            load_checkpoint(path)

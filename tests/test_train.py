@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from han.autodiff import GradientTape, Tensor, backward, parameter
+from han.autodiff import GradientTape, Tensor, backward, parameter, reshape
 from han.data import SkeletonSequence
 from han.errors import ConfigError, UsageError
 from han.model import HANModel
@@ -28,33 +28,33 @@ RS = np.random.RandomState(91)
 
 class TestCrossEntropy:
     def test_uniform_logits_fourteen_classes(self):
-        loss = cross_entropy(Tensor(np.zeros(14), dtype=np.float64), 5)
+        loss = cross_entropy(Tensor(np.zeros((1, 14)), dtype=np.float64), [5])
         assert loss.item() == pytest.approx(math.log(14.0), abs=1e-12)
 
     def test_saturated_margin(self):
         logits = np.zeros(8)
         logits[3] = 50.0
-        loss = cross_entropy(Tensor(logits, dtype=np.float64), 3)
+        loss = cross_entropy(Tensor(logits[None], dtype=np.float64), [3])
         assert loss.item() < 1e-8
 
     def test_label_out_of_range(self):
         with pytest.raises(UsageError):
-            cross_entropy(Tensor(np.zeros(4)), 4)
+            cross_entropy(Tensor(np.zeros((1, 4))), [4])
 
     def test_gradient_is_softmax_minus_onehot(self):
         x = parameter(RS.uniform(-2, 2, 9), dtype=np.float64)
         with GradientTape() as tape:
-            loss = cross_entropy(x, 4)
+            loss = cross_entropy(reshape(x, (1, 9)), [4])
         backward(loss, tape)
         sm = np.exp(x.data) / np.exp(x.data).sum()
         want = sm.copy()
         want[4] -= 1.0
         assert np.allclose(x.grad, want, atol=1e-12)
-        numeric = central_difference(lambda: cross_entropy(x, 4).item(), x.data)
+        numeric = central_difference(lambda: cross_entropy(reshape(x, (1, 9)), [4]).item(), x.data)
         assert max_relative_error(x.grad, numeric) < 1e-4
 
     def test_large_logits_stay_finite(self):
-        loss = cross_entropy(Tensor([1e4, -1e4, 0.0], dtype=np.float64), 1)
+        loss = cross_entropy(Tensor([[1e4, -1e4, 0.0]], dtype=np.float64), [1])
         assert np.isfinite(loss.item())
 
 
