@@ -9,9 +9,7 @@ small reverse-mode autodiff engine included here.
 from .attention import (
     AttentionConfig,
     AttentionParams,
-    PositionEmbeddingTable,
-    attend,
-    attention_weights,
+    attend_batch,
     positional_embedding,
 )
 from .autodiff import GradientTape, Tensor, backward
@@ -54,9 +52,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AttentionConfig",
     "AttentionParams",
-    "PositionEmbeddingTable",
-    "attend",
-    "attention_weights",
+    "attend_batch",
     "positional_embedding",
     "GradientTape",
     "Tensor",

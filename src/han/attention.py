@@ -1,7 +1,8 @@
 """The reusable self-attention block that aggregates a token group to one vector.
 
-One invocation maps N input vectors (which already carry their position
-embeddings) to a single d_model feature:
+`attend_batch`, the one entry point, maps each of B groups of N input
+vectors (which already carry their position embeddings) to a single
+d_model feature:
 
 1. project each token to per-head key/query/value vectors,
 2. attention weights: softmax over j of (Q_i . K_j) / sqrt(d_head),
@@ -115,37 +116,6 @@ def positional_embedding(position: int, d_model: int) -> np.ndarray:
     return out
 
 
-class PositionEmbeddingTable:
-    """Precomputed sinusoid rows, one per index 0..max_positions-1."""
-
-    def __init__(self, max_positions: int, d_model: int):
-        if max_positions < 1:
-            raise ConfigError(f"max_positions must be >= 1, got {max_positions}")
-        self.max_positions = max_positions
-        self.d_model = d_model
-        self.rows = np.stack([positional_embedding(i, d_model) for i in range(max_positions)])
-
-    def row(self, position: int) -> np.ndarray:
-        if not 0 <= position < self.max_positions:
-            raise UsageError(f"position {position} outside table of {self.max_positions}")
-        return self.rows[position]
-
-    def block(self, positions, dtype=np.float32) -> np.ndarray:
-        """Rows for a list of indices, cast for use inside a forward pass."""
-        return np.stack([self.row(p) for p in positions]).astype(dtype)
-
-
-def _as_inputs_tensor(inputs, d_model: int) -> Tensor:
-    x = inputs if isinstance(inputs, Tensor) else ad.constant(np.asarray(inputs))
-    if x.ndim != 2:
-        raise ShapeError(f"attention inputs must be (N, d_model), got {x.shape}")
-    if x.shape[0] == 0:
-        raise UsageError("attention needs at least one input token")
-    if x.shape[1] != d_model:
-        raise ShapeError(f"input width {x.shape[1]} does not match d_model {d_model}")
-    return x
-
-
 def attend_batch(
     x: Tensor,
     params: AttentionParams,
@@ -198,26 +168,3 @@ def attend_batch(
     updated = ad.add(x, branch)
     return ad.mean(updated, axis=1)
 
-
-def attend(
-    inputs,
-    params: AttentionParams,
-    config: AttentionConfig,
-    training: bool = False,
-    rng: Rng | None = None,
-) -> Tensor:
-    """Aggregate N tokens (N, d_model) to a single d_model vector."""
-    x = _as_inputs_tensor(inputs, config.d_model)
-    n, d = x.shape
-    out = attend_batch(ad.reshape(x, (1, n, d)), params, config, training, rng)
-    return ad.reshape(out, (d,))
-
-
-def attention_weights(inputs, params: AttentionParams, config: AttentionConfig):
-    """Eval-mode attention matrices: (per-head (H, N, N), head-averaged (N, N))."""
-    x = _as_inputs_tensor(inputs, config.d_model)
-    n, d = x.shape
-    captured: list = []
-    attend_batch(ad.reshape(x, (1, n, d)), params, config, training=False, weights_out=captured)
-    per_head = captured[0][0]
-    return per_head, per_head.mean(axis=0)

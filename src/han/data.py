@@ -164,7 +164,7 @@ def parse_sequence(path: str, joint_count: int, label: int = 0) -> SkeletonSeque
     except OSError as exc:
         raise DataError(f"cannot read sequence file {path}: {exc}") from exc
     want = 3 * joint_count
-    frames = []
+    frames, linenos = [], []
     for lineno, line in enumerate(raw_lines, start=1):
         tokens = line.split()
         if not tokens:
@@ -176,9 +176,14 @@ def parse_sequence(path: str, joint_count: int, label: int = 0) -> SkeletonSeque
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: non-numeric token") from exc
         frames.append(np.asarray(values, dtype=np.float64).reshape(joint_count, 3))
+        linenos.append(lineno)
     if not frames:
         raise ParseError(f"{path}: no frames found")
-    return SkeletonSequence(frames=np.stack(frames), label=label)
+    frames = np.stack(frames)
+    finite = np.isfinite(frames).all(axis=(1, 2))  # one pass per file: a per-line check slows parsing
+    if not finite.all():
+        raise ParseError(f"{path}:{linenos[int(np.argmin(finite))]}: non-finite coordinate")
+    return SkeletonSequence(frames=frames, label=label)
 
 
 def write_sequence(seq: SkeletonSequence, path: str) -> None:
@@ -299,6 +304,7 @@ def load_manifest(path: str) -> Dataset:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
     base_dir = os.path.dirname(os.path.abspath(path))
     header: dict[str, str] = {}
+    header_lines: dict[str, int] = {}
     entries: list[ManifestEntry] = []
     for lineno, line in enumerate(raw_lines, start=1):
         text = line.strip()
@@ -310,6 +316,7 @@ def load_manifest(path: str) -> Dataset:
             if key not in ("classes", "joints", "partition"):
                 raise ParseError(f"{path}:{lineno}: unknown manifest header '{key}'")
             header[key] = value.strip()
+            header_lines[key] = lineno
             continue
         fields = text.split("\t")
         if len(fields) not in (2, 3):
@@ -336,7 +343,10 @@ def load_manifest(path: str) -> Dataset:
         raise ParseError(f"{path}: classes must be >= 2, got {class_count}")
 
     if "partition" in header:
-        partition = resolve_partition(header["partition"], base_dir)
+        try:
+            partition = resolve_partition(header["partition"], base_dir)
+        except ConfigError as exc:
+            raise ParseError(f"{path}:{header_lines['partition']}: {exc}") from exc
     else:
         partition = default_partition(joint_count)
     if partition.joint_count != joint_count:

@@ -30,16 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .attention import (
-    AttentionParams,
-    PositionEmbeddingTable,
-    attend_batch,
-    init_attention_params,
-)
+from .attention import AttentionParams, attend_batch, init_attention_params, positional_embedding
 from .autodiff import Tensor
 from .config import HANConfig
 from .data import SkeletonSequence
-from .errors import CheckpointError, ConfigError, UsageError
+from .errors import CheckpointError, ConfigError, DataError, UsageError
 from .rng import Rng
 
 SITES = ("J", "F", "T", "Fusion")
@@ -56,7 +51,8 @@ class HANModel:
         att = config.attention
         d = att.d_model
         max_pos = max(config.frames, STREAM_COUNT, max(len(p) for p in config.partition.parts), 6) + 1
-        self.pe_table = PositionEmbeddingTable(max_pos, d)
+        # sinusoid rows 0..max_pos-1, cast once; a site with N tokens adds rows 1..N
+        self.pe = np.stack([positional_embedding(i, d) for i in range(max_pos)]).astype(self.dtype)
 
         rng = Rng(seed, "init")
 
@@ -79,9 +75,6 @@ class HANModel:
 
     def j_att_for_part(self, part_idx: int) -> AttentionParams:
         return self.j_att[0] if self.config.share_j_att else self.j_att[part_idx]
-
-    def t_att_for_stream(self, stream_idx: int) -> AttentionParams:
-        return self.t_att[0] if self.config.share_t_att else self.t_att[stream_idx]
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         """Every learnable tensor with a stable name, in a fixed order."""
@@ -112,7 +105,12 @@ def _batch_array(seqs, model: HANModel) -> np.ndarray:
             raise UsageError(f"model expects {cfg.frames} frames, got {frames.shape[0]}; sample the sequence first")
         if frames.shape[1] != cfg.joint_count:
             raise ConfigError(f"model expects {cfg.joint_count} joints, got {frames.shape[1]}")
-    return np.asarray(batch, dtype=model.dtype)
+    with np.errstate(over="ignore"):  # an overflowing cast is reported below, per row
+        frames = np.asarray(batch, dtype=model.dtype)
+    for row, ok in enumerate(np.isfinite(frames).all(axis=(1, 2, 3))):
+        if not ok:
+            raise DataError(f"sequence {row} of the batch has coordinates beyond {frames.dtype} range")
+    return frames
 
 
 def _attend_site(model, key, tokens, blocks, use_pe, training, rng, capture) -> Tensor:
@@ -122,8 +120,7 @@ def _attend_site(model, key, tokens, blocks, use_pe, training, rng, capture) -> 
     att = model.config.attention
     b, g, n, d = tokens.shape
     if use_pe:
-        pe = model.pe_table.block(range(1, n + 1), dtype=model.dtype)
-        tokens = ad.add(tokens, ad.constant(np.broadcast_to(pe, tokens.shape).copy()))
+        tokens = ad.add(tokens, ad.constant(np.broadcast_to(model.pe[1:n + 1], tokens.shape).copy()))
     sink = [] if capture is not None else None
     if len(blocks) == 1:
         out = attend_batch(ad.reshape(tokens, (b * g, n, d)), blocks[0], att, training, rng, sink)

@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import GradientTape, Tensor
 from .config import TrainConfig
 from .data import Dataset, SkeletonSequence, augment, uniform_sample
-from .errors import UsageError
+from .errors import ConfigError, UsageError
 from .model import HANModel, forward, probabilities
 from .rng import Rng
 
@@ -218,12 +218,16 @@ def train_loop(
             with GradientTape() as tape:
                 logits = forward(sampled, model, training=True, rng=drop_rngs)
                 batch_loss = cross_entropy(logits, labels)
+            loss = batch_loss.item()
+            if not math.isfinite(loss):
+                raise ConfigError(f"loss is {loss} at epoch {epoch}, batch {start // config.batch_size} "
+                                  f"with lr {lr:.8g}; lower lr_init")
             correct += int(np.sum(np.argmax(logits.data, axis=1) == labels))
             ad.backward(batch_loss, tape)
             grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
             adam_step(params, grads, adam, lr)
             tape.reset()
-            loss_sum += batch_loss.item() * len(batch)
+            loss_sum += loss * len(batch)
 
         train_loss = loss_sum / len(train_seqs)
         train_acc = correct / len(train_seqs)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from han import autodiff as ad
-from han.attention import AttentionConfig, AttentionParams, attend
+from han.attention import AttentionConfig, AttentionParams, attend_batch
 from han.autodiff import GradientTape, backward
 from han.data import HandPartition, load_manifest
 from han.model import (
@@ -114,12 +114,12 @@ def test_criterion_04_attention_block_oracle_equivalence():
         ba=ad.parameter(ba, dtype=np.float64),
     )
     inputs = [[0.6, -0.2], [-0.3, 0.9]]
-    got = attend(np.asarray(inputs), params, config).data
+    got = attend_batch(ad.constant(np.asarray(inputs)[None]), params, config).data[0]
     want = np.asarray(scalar_attention_reference(inputs, wk, wq, wv, wa, ba, 1, 2))
     gap = float(np.max(np.abs(got - want)))
     assert gap < 1e-10
     assert time.time() - start < 1.0
-    report(4, f"attend matches the scalar step-by-step oracle (max gap {gap:.2e})")
+    report(4, f"attend_batch matches the scalar step-by-step oracle (max gap {gap:.2e})")
 
 
 def test_criterion_05_permutation_invariance_suite():

@@ -7,9 +7,7 @@ from han import autodiff as ad
 from han.attention import (
     AttentionConfig,
     AttentionParams,
-    PositionEmbeddingTable,
-    attend,
-    attention_weights,
+    attend_batch,
     init_attention_params,
     positional_embedding,
 )
@@ -29,6 +27,19 @@ def small_config(**kw):
 
 def make_params(config, seed=0, dtype=np.float64):
     return init_attention_params(config, Rng(seed, "params"), dtype=dtype)
+
+
+def attend_one(inputs, params, config, **kw):
+    """The block on one token group (N, d): `attend_batch` on a (1, N, d) batch, output (d,)."""
+    return attend_batch(ad.constant(np.asarray(inputs)[None]), params, config, **kw).data[0]
+
+
+def weights_one(inputs, params, config):
+    """Eval-mode weights of one token group via `weights_out`: (per-head (H, N, N), head average)."""
+    captured = []
+    attend_one(inputs, params, config, weights_out=captured)
+    per_head = captured[0][0]
+    return per_head, per_head.mean(axis=0)
 
 
 class TestPositionalEmbedding:
@@ -52,8 +63,8 @@ class TestPositionalEmbedding:
                 assert row[c] == pytest.approx(want, abs=1e-12)
 
     def test_rows_bounded(self):
-        table = PositionEmbeddingTable(8, 16)
-        assert np.all(table.rows >= -1.0) and np.all(table.rows <= 1.0)
+        rows = np.stack([positional_embedding(i, 16) for i in range(8)])
+        assert np.all(rows >= -1.0) and np.all(rows <= 1.0)
 
     def test_negative_position_rejected(self):
         with pytest.raises(UsageError):
@@ -87,12 +98,12 @@ class TestAttend:
         config = small_config()
         params = make_params(config)
         x = RS.uniform(-1, 1, (1, config.d_model))
-        per_head, avg = attention_weights(x, params, config)
+        per_head, avg = weights_one(x, params, config)
         assert per_head.shape == (2, 1, 1)
         assert np.allclose(per_head, 1.0)
         assert np.allclose(avg, [[1.0]])
         # output equals the token plus its feed-forward branch
-        out = attend(x, params, config).data
+        out = attend_one(x, params, config)
         ref = scalar_attention_reference(
             x.tolist(), params.wk.data.tolist(), params.wq.data.tolist(), params.wv.data.tolist(),
             params.wa.data.tolist(), params.ba.data.tolist(), config.n_heads, config.d_head,
@@ -104,7 +115,7 @@ class TestAttend:
         params = make_params(config, seed=5)
         n = 5
         x = np.tile(RS.uniform(-1, 1, (1, config.d_model)), (n, 1))
-        per_head, avg = attention_weights(x, params, config)
+        per_head, avg = weights_one(x, params, config)
         assert np.max(np.abs(per_head - 1.0 / n)) < 1e-6
 
     def test_matches_scalar_oracle_hand_set_params(self):
@@ -118,7 +129,7 @@ class TestAttend:
             ba=ad.parameter([0.05, -0.1], dtype=np.float64),
         )
         inputs = [[0.6, -0.2], [-0.3, 0.9]]
-        got = attend(np.asarray(inputs), params, config).data
+        got = attend_one(np.asarray(inputs), params, config)
         want = scalar_attention_reference(
             inputs, [[0.3, -0.2], [0.1, 0.4]], [[-0.5, 0.7], [0.2, 0.1]],
             [[0.9, 0.3], [-0.4, 0.6]], [[0.2, -0.3], [0.5, 0.8]], [0.05, -0.1], 1, 2,
@@ -129,31 +140,50 @@ class TestAttend:
         config = small_config(n_heads=3, d_head=2)
         params = make_params(config, seed=11)
         x = RS.uniform(-1, 1, (4, config.d_model))
-        got = attend(x, params, config).data
+        got = attend_one(x, params, config)
         want = scalar_attention_reference(
             x.tolist(), params.wk.data.tolist(), params.wq.data.tolist(), params.wv.data.tolist(),
             params.wa.data.tolist(), params.ba.data.tolist(), config.n_heads, config.d_head,
         )
         assert np.max(np.abs(got - np.asarray(want))) < 1e-10
 
+    def test_batch_rows_match_scalar_oracle(self):
+        # three different token groups in one call; each row is its own group's block output
+        config = small_config(n_heads=3, d_head=2)
+        params = make_params(config, seed=12)
+        x = np.random.RandomState(78).uniform(-1, 1, (3, 4, config.d_model))
+        captured = []
+        got = attend_batch(ad.constant(x), params, config, weights_out=captured).data
+        assert got.shape == (3, config.d_model) and captured[0].shape == (3, 3, 4, 4)
+        for b in range(3):
+            want = scalar_attention_reference(
+                x[b].tolist(), params.wk.data.tolist(), params.wq.data.tolist(), params.wv.data.tolist(),
+                params.wa.data.tolist(), params.ba.data.tolist(), config.n_heads, config.d_head,
+            )
+            assert np.max(np.abs(got[b] - np.asarray(want))) < 1e-10
+            want_w = scalar_attention_matrix(
+                x[b].tolist(), params.wk.data.tolist(), params.wq.data.tolist(), config.n_heads, config.d_head
+            )
+            assert np.max(np.abs(captured[0][b] - np.asarray(want_w))) < 1e-10
+
     def test_width_mismatch_errors(self):
         config = small_config()
         params = make_params(config)
         with pytest.raises(ShapeError):
-            attend(RS.uniform(-1, 1, (3, config.d_model + 1)), params, config)
+            attend_one(RS.uniform(-1, 1, (3, config.d_model + 1)), params, config)
 
     def test_empty_input_errors(self):
         config = small_config()
         params = make_params(config)
         with pytest.raises(UsageError):
-            attend(np.empty((0, config.d_model)), params, config)
+            attend_one(np.empty((0, config.d_model)), params, config)
 
     def test_eval_determinism(self):
         config = small_config(dropout_rate=0.2)
         params = make_params(config, seed=2)
         x = RS.uniform(-1, 1, (5, config.d_model))
-        a = attend(x, params, config, training=False).data
-        b = attend(x, params, config, training=False).data
+        a = attend_one(x, params, config, training=False)
+        b = attend_one(x, params, config, training=False)
         assert np.array_equal(a, b)
 
     def test_permutation_invariance_of_pooled_output(self):
@@ -162,19 +192,18 @@ class TestAttend:
         params = make_params(config, seed=9)
         x = RS.uniform(-1, 1, (6, config.d_model))
         perm = RS.permutation(6)
-        base = attend(x, params, config).data
-        shuffled = attend(x[perm], params, config).data
+        base = attend_one(x, params, config)
+        shuffled = attend_one(x[perm], params, config)
         assert np.max(np.abs(base - shuffled)) < 1e-5
 
     def test_position_embedding_breaks_permutation_invariance(self):
         config = small_config()
         params = make_params(config, seed=9)
-        table = PositionEmbeddingTable(10, config.d_model)
         x = RS.uniform(-1, 1, (6, config.d_model))
-        pe = table.block(range(1, 7), dtype=np.float64)
+        pe = np.stack([positional_embedding(p, config.d_model) for p in range(1, 7)])
         perm = np.roll(np.arange(6), 1)
-        base = attend(x + pe, params, config).data
-        moved = attend(x[perm] + pe, params, config).data
+        base = attend_one(x + pe, params, config)
+        moved = attend_one(x[perm] + pe, params, config)
         assert np.max(np.abs(base - moved)) > 1e-4
 
 
@@ -183,7 +212,7 @@ class TestAttentionWeights:
         config = small_config(n_heads=4, d_head=2)
         params = make_params(config, seed=21)
         x = RS.uniform(-1, 1, (7, config.d_model))
-        per_head, avg = attention_weights(x, params, config)
+        per_head, avg = weights_one(x, params, config)
         assert np.allclose(per_head.sum(axis=-1), 1.0, atol=1e-6)
         assert np.allclose(avg.sum(axis=-1), 1.0, atol=1e-6)
 
@@ -191,14 +220,14 @@ class TestAttentionWeights:
         config = small_config(n_heads=4, d_head=2)
         params = make_params(config, seed=22)
         x = RS.uniform(-1, 1, (5, config.d_model))
-        per_head, avg = attention_weights(x, params, config)
+        per_head, avg = weights_one(x, params, config)
         assert np.max(np.abs(avg - per_head.mean(axis=0))) < 1e-7
 
     def test_matches_scalar_matrix_oracle(self):
         config = small_config(n_heads=2, d_head=3)
         params = make_params(config, seed=23)
         x = RS.uniform(-1, 1, (4, config.d_model))
-        per_head, _ = attention_weights(x, params, config)
+        per_head, _ = weights_one(x, params, config)
         want = scalar_attention_matrix(
             x.tolist(), params.wk.data.tolist(), params.wq.data.tolist(), config.n_heads, config.d_head
         )
@@ -207,5 +236,5 @@ class TestAttentionWeights:
     def test_single_token_matrix(self):
         config = small_config()
         params = make_params(config)
-        _, avg = attention_weights(RS.uniform(-1, 1, (1, config.d_model)), params, config)
+        _, avg = weights_one(RS.uniform(-1, 1, (1, config.d_model)), params, config)
         assert np.allclose(avg, [[1.0]])

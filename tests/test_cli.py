@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 
@@ -92,6 +93,22 @@ class TestTrainCommand:
         assert (a / "model.ckpt").read_bytes() == (b / "model.ckpt").read_bytes()
         assert (a / "train.log").read_bytes() == (b / "train.log").read_bytes()
 
+    def test_non_finite_loss_exits_2_without_checkpoint(self, tmp_path, dataset_dir, capsys):
+        out = tmp_path / "o"
+        code = main(["train", "--manifest", str(dataset_dir / "manifest.tsv"),
+                     "--out", str(out)] + FAST_TRAIN + ["--lr", "1e10"])
+        assert code == 2
+        assert "lr_init" in capsys.readouterr().err
+        assert not (out / "model.ckpt").exists()
+
+    def test_unknown_manifest_partition_exits_3(self, tmp_path, dataset_dir, capsys):
+        shutil.copytree(dataset_dir, tmp_path / "d")
+        manifest = tmp_path / "d" / "manifest.tsv"
+        manifest.write_text(manifest.read_text().replace("partition=shrec22", "partition=nope"))
+        code = main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "o")] + FAST_TRAIN)
+        assert code == 3
+        assert f"{manifest}:3: partition 'nope'" in capsys.readouterr().err
+
     def test_config_file_matches_flags(self, tmp_path, dataset_dir):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -136,6 +153,15 @@ class TestEvalCommand:
                      "--manifest", str(dataset_dir / "manifest.tsv")])
         assert code == 2
         assert "HAN-CKPT" in capsys.readouterr().err
+
+    def test_coordinates_beyond_float32_exit_3(self, trained_dir, tmp_path, capsys):
+        # finite when parsed (float64), inf in the float32 checkpoint's dtype
+        (tmp_path / "big.txt").write_text((" ".join(["1e39"] * 66) + "\n") * 6)
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("classes=3\njoints=22\nbig.txt\t0\ttest\n")
+        code = main(["eval", "--checkpoint", str(trained_dir / "model.ckpt"), "--manifest", str(manifest)])
+        assert code == 3
+        assert "beyond float32 range" in capsys.readouterr().err
 
     def test_class_count_mismatch_exits_2(self, trained_dir, tmp_path):
         other = tmp_path / "other"
@@ -200,6 +226,15 @@ class TestExportAttnCommand:
         code = main(["export-attn", "--checkpoint", str(trained_dir / "model.ckpt"),
                      "--sequence", ds.entries[0].path, "--site", "Q", "--out", "x"])
         assert code == 2
+
+    def test_non_finite_token_exits_3_naming_file_and_line(self, trained_dir, tmp_path, capsys):
+        seq = tmp_path / "seq.txt"
+        good = " ".join(["0"] * 66)
+        seq.write_text(good + "\n" + good + "\n" + good.replace("0", "nan", 1) + "\n")
+        code = main(["export-attn", "--checkpoint", str(trained_dir / "model.ckpt"),
+                     "--sequence", str(seq), "--site", "Fusion", "--out", str(tmp_path / "attn")])
+        assert code == 3
+        assert f"{seq}:3: non-finite" in capsys.readouterr().err
 
     def test_missing_selector_exits_2(self, trained_dir, dataset_dir, tmp_path):
         ds = load_manifest(str(dataset_dir / "manifest.tsv"))

@@ -96,6 +96,14 @@ class TestSequenceIO:
         with pytest.raises(DataError):
             parse_sequence("/nonexistent/seq.txt", 22)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_token_names_file_and_line(self, tmp_path, token):
+        path = tmp_path / "seq.txt"
+        good = " ".join(["0"] * 66)
+        path.write_text(good + "\n" + good.replace("0", token, 1) + "\n")
+        with pytest.raises(ParseError, match=rf"seq\.txt:2: non-finite"):
+            parse_sequence(str(path), 22)
+
     def test_roundtrip_through_text(self, tmp_path):
         seq = make_seq(t=3, j=21)
         first = tmp_path / "a.txt"
@@ -204,6 +212,11 @@ class TestManifest:
     def test_partition_defaults_by_joint_count(self, tmp_path):
         path = self.write_dataset(tmp_path, ["classes=2", "joints=22"])
         assert load_manifest(path).partition.name == "shrec22"
+
+    def test_unknown_partition_names_manifest_and_line(self, tmp_path):
+        path = self.write_dataset(tmp_path, ["classes=2", "joints=22", "partition=nope"])
+        with pytest.raises(ParseError, match=r"manifest\.tsv:3: partition 'nope'"):
+            load_manifest(path)
 
     def test_unknown_header_key(self, tmp_path):
         path = self.write_dataset(tmp_path, ["classes=2", "joints=22", "quality=high"])

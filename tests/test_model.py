@@ -5,10 +5,10 @@ import struct
 import numpy as np
 import pytest
 
-from han.attention import AttentionConfig
+from han.attention import AttentionConfig, positional_embedding
 from han.autodiff import GradientTape, backward
 from han.data import HandPartition
-from han.errors import CheckpointError, ConfigError, UsageError
+from han.errors import CheckpointError, ConfigError, DataError, UsageError
 from han.model import (
     HANConfig,
     HANModel,
@@ -57,6 +57,25 @@ class TestForwardBasics:
         with pytest.raises(ConfigError, match="joints"):
             forward([RS.uniform(-1, 1, (2, 7, 3))], model)
 
+    def test_coordinates_beyond_float32_rejected(self):
+        # finite in float64, inf once cast to the model dtype
+        config = tiny_config()
+        model = HANModel(config, seed=1)
+        batch = np.random.RandomState(32).uniform(-1, 1, (3, config.frames, config.joint_count, 3))
+        batch[1, 0, 0, 0] = 1e39
+        with pytest.raises(DataError, match="sequence 1 of the batch"):
+            forward(batch, model)
+        with pytest.raises(DataError, match="float32"):
+            predict(batch[1], model)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_position_table_rows_are_cast_sinusoids(self, dtype):
+        model = HANModel(tiny_config(), seed=1, dtype=dtype)
+        d = model.config.attention.d_model
+        assert model.pe.shape == (7 + 1, d) and model.pe.dtype == dtype  # max(frames, 7 streams, 6 parts) + 1
+        for p in range(len(model.pe)):
+            assert np.array_equal(model.pe[p], positional_embedding(p, d).astype(dtype))
+
     def test_registry_count_at_defaults(self):
         model = HANModel(HANConfig(), seed=0)
         assert model.param_count() == 527_118
@@ -65,13 +84,12 @@ class TestForwardBasics:
         model = HANModel(tiny_config(), seed=2)
         for p in range(6):
             assert model.j_att_for_part(p) is model.j_att_for_part(0)
-        for s in range(7):
-            assert model.t_att_for_stream(s) is model.t_att_for_stream(0)
+        assert len(model.t_att) == 1  # every stream's temporal site runs this one block
 
     def test_unshared_blocks_are_distinct(self):
         model = HANModel(tiny_config(share_j_att=False, share_t_att=False), seed=2)
         assert len({id(model.j_att_for_part(p)) for p in range(6)}) == 6
-        assert len({id(model.t_att_for_stream(s)) for s in range(7)}) == 7
+        assert len({id(block) for block in model.t_att}) == 7
         names = [n for n, _ in model.parameters()]
         assert len(names) == len(set(names))
 

@@ -219,6 +219,16 @@ class TestTrainLoop:
         with pytest.raises(UsageError):
             train_loop([], [], model, TrainConfig())
 
+    def test_non_finite_loss_stops_before_the_update(self):
+        seqs = toy_sequences(classes=3, joints=6, t=5)
+        model = HANModel(tiny_config(class_count=3, frames=4), seed=5)
+        config = TrainConfig(lr_init=1e10, seed=5, batch_size=8, warmup_epochs=1, max_epochs=4,
+                             augmentation=None)
+        with pytest.raises(ConfigError, match=r"loss is (nan|inf) at epoch \d+, batch \d+ with lr 1e\+10"):
+            train_loop(seqs, [], model, config)
+        # the step that produced the bad loss never ran, so no weight is non-finite yet
+        assert all(np.all(np.isfinite(p.data)) for _, p in model.parameters())
+
     def test_initial_loss_near_log_classes(self):
         seqs = toy_sequences(classes=4, joints=6, t=2)
         for seed in range(10):
