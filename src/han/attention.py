@@ -142,23 +142,20 @@ def attend_batch(
     params.validate(config)
     h, dh, hw = config.n_heads, config.d_head, config.heads_width
 
-    def split_heads(t: Tensor) -> Tensor:
-        # (B, N, H*dh) -> (B*H, N, dh)
-        t = ad.reshape(t, (b, n, h, dh))
-        t = ad.transpose(t, (0, 2, 1, 3))
-        return ad.reshape(t, (b * h, n, dh))
+    def split_heads(t: Tensor, axes: tuple[int, ...]) -> Tensor:
+        # (B, N, H*dh) -> (B, N, H, dh), then heads ahead of tokens
+        return ad.transpose(ad.reshape(t, (b, n, h, dh)), axes)
 
-    k = split_heads(ad.linear(x, params.wk))
-    q = split_heads(ad.linear(x, params.wq))
-    v = split_heads(ad.linear(x, params.wv))
+    k_t = split_heads(ad.linear(x, params.wk), (0, 2, 3, 1))   # (B, H, dh, N)
+    q = split_heads(ad.linear(x, params.wq), (0, 2, 1, 3))     # (B, H, N, dh)
+    v = split_heads(ad.linear(x, params.wv), (0, 2, 1, 3))
 
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
+    scores = ad.scale(ad.matmul(q, k_t), 1.0 / math.sqrt(dh))  # (B, H, N, N)
     lam = ad.softmax(scores, axis=-1)
     if weights_out is not None:
-        weights_out.append(lam.data.reshape(b, h, n, n).copy())
+        weights_out.append(lam.data.copy())
 
-    ctx = ad.matmul(lam, v)                                   # (B*H, N, dh)
-    ctx = ad.reshape(ctx, (b, h, n, dh))
+    ctx = ad.matmul(lam, v)                                     # (B, H, N, dh)
     ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, n, hw))
 
     branch = ad.linear(ctx, params.wa, params.ba)             # back to d_model

@@ -59,9 +59,6 @@ class Tensor:
             raise UsageError(f"item() needs a single-element tensor, shape is {self.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
@@ -303,21 +300,12 @@ def mean(x: Tensor, axis: int) -> Tensor:
     return record_op("mean", (x,), out, bwd)
 
 
-def tensor_sum(x: Tensor, axis: int | None = None) -> Tensor:
-    """Sum over one axis, or over all elements when axis is None."""
-    if axis is None:
-        out = Tensor(np.sum(x.data))
+def tensor_sum(x: Tensor) -> Tensor:
+    """Sum over all elements."""
+    out = Tensor(np.sum(x.data))
 
-        def bwd(g):
-            return (np.broadcast_to(g, x.data.shape).copy(),)
-
-    else:
-        _check_axis(x, axis)
-        out = Tensor(np.sum(x.data, axis=axis))
-        n = x.shape[axis]
-
-        def bwd(g):
-            return (np.repeat(np.expand_dims(g, axis), n, axis=axis),)
+    def bwd(g):
+        return (np.broadcast_to(g, x.data.shape).copy(),)
 
     return record_op("sum", (x,), out, bwd)
 

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .config import CONFIG_KEYS, build_configs
-from .data import load_manifest, parse_sequence, uniform_sample
+from .data import load_manifest, parse_sequence, read_lines, uniform_sample
 from .errors import ConfigError, DataError, HanError, UsageError
 from .model import HANModel, SITES, extract_attention, load_checkpoint, save_checkpoint
 from .profile import cost_report
@@ -40,10 +40,9 @@ def _parse_bool(text: str) -> bool:
 
 def _read_config_file(path: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        lines = read_lines(path, "config file")
+    except DataError as exc:
+        raise ConfigError(str(exc)) from exc
     out: dict = {}
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()

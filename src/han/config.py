@@ -16,7 +16,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .attention import AttentionConfig
-from .data import AugmentationConfig, HandPartition, default_partition, partition_by_name, resolve_partition
+from .data import SHREC22, AugmentationConfig, HandPartition, default_partition, resolve_partition
 from .errors import ConfigError
 
 
@@ -25,7 +25,7 @@ class HANConfig:
     attention: AttentionConfig = field(default_factory=AttentionConfig)
     frames: int = 8
     class_count: int = 14
-    partition: HandPartition | None = None  # None resolves to the 22-joint layout
+    partition: HandPartition = SHREC22
     pe_j: bool = True
     pe_f: bool = True
     pe_t: bool = True
@@ -34,8 +34,6 @@ class HANConfig:
     share_t_att: bool = True
 
     def __post_init__(self):
-        if self.partition is None:
-            object.__setattr__(self, "partition", partition_by_name("shrec22"))
         if self.frames < 1:
             raise ConfigError(f"frames must be >= 1, got {self.frames}")
         if self.class_count < 2:

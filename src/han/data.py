@@ -16,15 +16,14 @@ the order thumb, index, middle, ring, pinky, palm group.
 
 from __future__ import annotations
 
+import io
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
 from .rng import Rng
-
-PART_NAMES = ("thumb", "index", "middle", "ring", "pinky", "palm")
 
 
 @dataclass(frozen=True)
@@ -47,9 +46,10 @@ class HandPartition:
                 if j in seen:
                     raise ConfigError(f"joint {j} appears in more than one part")
                 seen.add(j)
-        if seen != set(range(len(seen))):
-            missing = sorted(set(range(max(seen) + 1)) - seen)
-            raise ConfigError(f"partition does not cover joints {missing}")
+        expected = set(range(len(seen)))  # never a range up to the largest index: it may be huge
+        if seen != expected:
+            raise ConfigError(f"partition does not cover joints {sorted(expected - seen)}; "
+                              f"indices {sorted(seen - expected)} are out of range for {len(seen)} joints")
 
     @property
     def joint_count(self) -> int:
@@ -88,12 +88,6 @@ FPHA21 = HandPartition(
 _BUILTIN_PARTITIONS = {"shrec22": SHREC22, "fpha21": FPHA21}
 
 
-def partition_by_name(name: str) -> HandPartition:
-    if name not in _BUILTIN_PARTITIONS:
-        raise ConfigError(f"unknown partition '{name}', expected one of {sorted(_BUILTIN_PARTITIONS)}")
-    return _BUILTIN_PARTITIONS[name]
-
-
 def default_partition(joint_count: int) -> HandPartition:
     if joint_count == 22:
         return SHREC22
@@ -102,12 +96,23 @@ def default_partition(joint_count: int) -> HandPartition:
     raise ConfigError(f"no built-in partition for {joint_count} joints; supply a partition file")
 
 
-def load_partition(path: str) -> HandPartition:
+def read_lines(path: str, what: str) -> list[str]:
+    """Lines of a UTF-8 text file as text mode reads them; bytes that are not UTF-8 are a ParseError."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
-        raise DataError(f"cannot read partition file {path}: {exc}") from exc
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}:{lineno}: {what} is not UTF-8 text (byte {raw[exc.start]:#04x})") from exc
+    return io.StringIO(text, newline=None).readlines()
+
+
+def load_partition(path: str) -> HandPartition:
+    lines = [ln.strip() for ln in read_lines(path, "partition file") if ln.strip()]
     if len(lines) != 6:
         raise ParseError(f"{path}: partition file needs 6 lines, found {len(lines)}")
     parts = []
@@ -138,7 +143,6 @@ class SkeletonSequence:
 
     frames: np.ndarray              # (T, J, 3) float64
     label: int
-    metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
@@ -158,14 +162,9 @@ class SkeletonSequence:
 
 def parse_sequence(path: str, joint_count: int, label: int = 0) -> SkeletonSequence:
     """Read one sequence file; every nonempty line must hold exactly 3*J reals."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw_lines = fh.readlines()
-    except OSError as exc:
-        raise DataError(f"cannot read sequence file {path}: {exc}") from exc
     want = 3 * joint_count
     frames, linenos = [], []
-    for lineno, line in enumerate(raw_lines, start=1):
+    for lineno, line in enumerate(read_lines(path, "sequence file"), start=1):
         tokens = line.split()
         if not tokens:
             continue
@@ -180,9 +179,12 @@ def parse_sequence(path: str, joint_count: int, label: int = 0) -> SkeletonSeque
     if not frames:
         raise ParseError(f"{path}: no frames found")
     frames = np.stack(frames)
-    finite = np.isfinite(frames).all(axis=(1, 2))  # one pass per file: a per-line check slows parsing
-    if not finite.all():
-        raise ParseError(f"{path}:{linenos[int(np.argmin(finite))]}: non-finite coordinate")
+    # one pass per file (a per-line check slows parsing); nan fails the comparison too
+    in_range = (np.abs(frames) <= np.finfo(np.float32).max).all(axis=(1, 2))
+    if not in_range.all():
+        row = int(np.argmin(in_range))
+        what = "non-finite coordinate" if not np.isfinite(frames[row]).all() else "coordinate beyond float32 range"
+        raise ParseError(f"{path}:{linenos[row]}: {what}")
     return SkeletonSequence(frames=frames, label=label)
 
 
@@ -194,7 +196,7 @@ def write_sequence(seq: SkeletonSequence, path: str) -> None:
             fh.write("\n")
 
 
-def uniform_sample(seq: SkeletonSequence, target_frames: int = 8) -> SkeletonSequence:
+def uniform_sample(seq: SkeletonSequence, target_frames: int) -> SkeletonSequence:
     """Resample to exactly `target_frames` frames on a uniform time grid.
 
     For T >= target the grid picks source frames round(k*(T-1)/(target-1));
@@ -207,14 +209,14 @@ def uniform_sample(seq: SkeletonSequence, target_frames: int = 8) -> SkeletonSeq
     if t == target_frames:
         return seq
     if target_frames == 1:
-        return SkeletonSequence(frames=seq.frames[:1].copy(), label=seq.label, metadata=dict(seq.metadata))
+        return SkeletonSequence(frames=seq.frames[:1].copy(), label=seq.label)
     positions = np.arange(target_frames, dtype=np.float64) * (t - 1) / (target_frames - 1)
     if t >= target_frames:
         idx = np.rint(positions).astype(int)
         frames = seq.frames[idx].copy()
     else:
         frames = _interpolate_frames(seq.frames, positions)
-    return SkeletonSequence(frames=frames, label=seq.label, metadata=dict(seq.metadata))
+    return SkeletonSequence(frames=frames, label=seq.label)
 
 
 def _interpolate_frames(frames: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -265,7 +267,7 @@ def augment(seq: SkeletonSequence, config: AugmentationConfig, rng: Rng) -> Skel
         frames = _interpolate_frames(frames, positions)
     if config.noise_std > 0.0:
         frames = frames + rng.normal(frames.shape, 0.0, config.noise_std)
-    return SkeletonSequence(frames=frames, label=seq.label, metadata=dict(seq.metadata))
+    return SkeletonSequence(frames=frames, label=seq.label)
 
 
 @dataclass
@@ -283,7 +285,6 @@ class Dataset:
     joint_count: int
     partition: HandPartition
     entries: list[ManifestEntry]
-    base_dir: str = "."
 
     def split_entries(self, split: str) -> list[ManifestEntry]:
         return [e for e in self.entries if e.split == split]
@@ -297,11 +298,7 @@ class Dataset:
 
 
 def load_manifest(path: str) -> Dataset:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw_lines = fh.readlines()
-    except OSError as exc:
-        raise DataError(f"cannot read manifest {path}: {exc}") from exc
+    raw_lines = read_lines(path, "manifest")
     base_dir = os.path.dirname(os.path.abspath(path))
     header: dict[str, str] = {}
     header_lines: dict[str, int] = {}
@@ -342,13 +339,14 @@ def load_manifest(path: str) -> Dataset:
     if class_count < 2:
         raise ParseError(f"{path}: classes must be >= 2, got {class_count}")
 
-    if "partition" in header:
-        try:
+    key = "partition" if "partition" in header else "joints"  # the line a partition error names
+    try:
+        if key == "partition":
             partition = resolve_partition(header["partition"], base_dir)
-        except ConfigError as exc:
-            raise ParseError(f"{path}:{header_lines['partition']}: {exc}") from exc
-    else:
-        partition = default_partition(joint_count)
+        else:
+            partition = default_partition(joint_count)
+    except ConfigError as exc:
+        raise ParseError(f"{path}:{header_lines[key]}: {exc}") from exc
     if partition.joint_count != joint_count:
         raise ParseError(
             f"{path}: partition '{partition.name}' covers {partition.joint_count} joints, manifest declares {joint_count}"
@@ -361,10 +359,4 @@ def load_manifest(path: str) -> Dataset:
             raise ParseError(f"{path}: label {entry.label} out of range for {class_count} classes")
         if not os.path.exists(entry.path):
             raise DataError(f"{path}: referenced sequence file does not exist: {entry.path}")
-    return Dataset(
-        class_count=class_count,
-        joint_count=joint_count,
-        partition=partition,
-        entries=entries,
-        base_dir=base_dir,
-    )
+    return Dataset(class_count=class_count, joint_count=joint_count, partition=partition, entries=entries)

@@ -178,9 +178,10 @@ def probabilities(seqs, model: HANModel) -> np.ndarray:
     """Eval-mode class probabilities (B, C) in float64, forwarded EVAL_CHUNK sequences at a time."""
     if len(seqs) == 0:
         raise UsageError("probabilities needs at least one sequence")
+    frames = _batch_array(seqs, model)  # checked whole, so an error names the row in `seqs`
     logits = np.concatenate([
-        forward(seqs[start:start + EVAL_CHUNK], model).data.astype(np.float64)
-        for start in range(0, len(seqs), EVAL_CHUNK)
+        forward(frames[start:start + EVAL_CHUNK], model).data.astype(np.float64)
+        for start in range(0, len(frames), EVAL_CHUNK)
     ])
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
@@ -317,8 +318,10 @@ def load_checkpoint(path: str) -> HANModel:
         raise CheckpointError(f"{path}: tensor dtype {dtype_name!r} is not one of {', '.join(_DTYPES)}")
     dtype = np.dtype(dtype_name)
 
-    # the seeded weights are placeholders: every tensor is overwritten below
-    model = HANModel(config, dtype=dtype)
+    try:  # the seeded weights are placeholders: every tensor is overwritten below
+        model = HANModel(config, dtype=dtype)
+    except TypeError as exc:  # a fractional count, which the config checks let through
+        raise CheckpointError(f"{path}: invalid checkpoint config: {exc}") from exc
     expected = dict(model.parameters())
     (count,) = struct.unpack("<I", read_exact(4, "tensor count"))
     if count != len(expected):
@@ -326,7 +329,10 @@ def load_checkpoint(path: str) -> HANModel:
     seen: set[str] = set()
     for _ in range(count):
         (name_len,) = struct.unpack("<H", read_exact(2, "name length"))
-        name = read_exact(name_len, "name").decode("utf-8")
+        try:
+            name = read_exact(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: tensor name is not UTF-8 ({exc.reason})") from exc
         if name not in expected:
             raise CheckpointError(f"{path}: unexpected tensor '{name}' for this config")
         if name in seen:

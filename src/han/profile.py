@@ -48,19 +48,15 @@ class CostReport:
         return "\n".join(lines) + "\n"
 
 
-def attention_invocation_flops(n_tokens: int, config: HANConfig, minor_terms: bool = False) -> int:
+def attention_invocation_flops(n_tokens: int, config: HANConfig) -> int:
     """MACs for one attention-block call on N tokens.
 
     QKV projections + score and weighted-sum products + output projection;
-    with `minor_terms`, the six N*d elementwise passes (softmax, relu,
-    norm, dropout, residual, pooling) are added.
+    the six N*d elementwise passes are tallied in the elementwise row.
     """
     att = config.attention
     d, hw = att.d_model, att.heads_width
-    core = 3 * n_tokens * d * hw + 2 * n_tokens * n_tokens * hw + n_tokens * hw * d
-    if minor_terms:
-        core += 6 * n_tokens * d
-    return core
+    return 3 * n_tokens * d * hw + 2 * n_tokens * n_tokens * hw + n_tokens * hw * d
 
 
 def _invocations(config: HANConfig) -> dict[str, list[int]]:

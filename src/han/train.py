@@ -46,6 +46,9 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return ad.record_op("cross_entropy", (logits,), out, bwd)
 
 
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam moment decay rates and denominator guard
+
+
 @dataclass
 class AdamState:
     """First/second moment buffers aligned with a parameter list."""
@@ -53,9 +56,6 @@ class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @staticmethod
     def for_params(params: list[Tensor]) -> "AdamState":
@@ -70,16 +70,16 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState, l
     if len(params) != len(grads) or len(params) != len(state.m):
         raise UsageError("params, grads, and optimizer state must have the same length")
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
+    bc1 = 1.0 - BETA1 ** state.step
+    bc2 = 1.0 - BETA2 ** state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if g.shape != p.data.shape:
             raise UsageError(f"gradient shape {g.shape} does not match parameter {p.data.shape}")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data -= (lr / bc1) * m / (np.sqrt(v / bc2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p.data -= (lr / bc1) * m / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 @dataclass
@@ -145,14 +145,13 @@ def metrics_from_pairs(true_labels, pred_labels, class_count: int) -> EvalReport
     return EvalReport(accuracy=accuracy, per_class_accuracy=per_class, confusion=confusion)
 
 
-def evaluate(model: HANModel, sequences: list[SkeletonSequence], class_count: int | None = None) -> EvalReport:
+def evaluate(model: HANModel, sequences: list[SkeletonSequence]) -> EvalReport:
     """Deterministic eval-mode accuracy and confusion matrix over a split."""
-    c = class_count if class_count is not None else model.config.class_count
     pred = []
     if sequences:
         sampled = [uniform_sample(seq, model.config.frames) for seq in sequences]
         pred = np.argmax(probabilities(sampled, model), axis=1)
-    return metrics_from_pairs([seq.label for seq in sequences], pred, c)
+    return metrics_from_pairs([seq.label for seq in sequences], pred, model.config.class_count)
 
 
 @dataclass
@@ -169,7 +168,6 @@ class EpochLog:
 class TrainResult:
     model: HANModel
     epochs: list[EpochLog]
-    decay_epochs: list[int]
     final_train_acc: float
     final_val_acc: float
 
@@ -215,7 +213,8 @@ def train_loop(
                 sampled.append(uniform_sample(seq, frames_t))
             labels = np.array([train_seqs[gi].label for gi in batch])
             drop_rngs = [root.stream(f"dropout/{epoch}/{gi}") for gi in batch]
-            with GradientTape() as tape:
+            # a diverging run overflows here; the loss check below reports it
+            with GradientTape() as tape, np.errstate(over="ignore", invalid="ignore"):
                 logits = forward(sampled, model, training=True, rng=drop_rngs)
                 batch_loss = cross_entropy(logits, labels)
             loss = batch_loss.item()
@@ -232,7 +231,8 @@ def train_loop(
         train_loss = loss_sum / len(train_seqs)
         train_acc = correct / len(train_seqs)
         if val_seqs:
-            val_acc = evaluate(model, val_seqs).accuracy
+            with np.errstate(over="ignore", invalid="ignore"):  # the next loss check reports a divergence
+                val_acc = evaluate(model, val_seqs).accuracy
             metric = val_acc
         else:
             val_acc = math.nan
@@ -246,8 +246,7 @@ def train_loop(
 
     final_train = evaluate(model, train_seqs).accuracy
     final_val = evaluate(model, val_seqs).accuracy if val_seqs else math.nan
-    return TrainResult(model=model, epochs=logs, decay_epochs=list(sched.decay_epochs),
-                       final_train_acc=final_train, final_val_acc=final_val)
+    return TrainResult(model=model, epochs=logs, final_train_acc=final_train, final_val_acc=final_val)
 
 
 def write_training_log(path: str, result: TrainResult) -> None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import SkeletonSequence
-from .errors import UsageError
+from .errors import DataError, UsageError
 
 
 def as_sequence_list(X, joint_count: int | None = None) -> list[np.ndarray]:
@@ -23,12 +23,11 @@ def as_sequence_list(X, joint_count: int | None = None) -> list[np.ndarray]:
         raise UsageError("X is empty")
     out = []
     for i, item in enumerate(items):
-        arr = item.frames if isinstance(item, SkeletonSequence) else np.asarray(item, dtype=np.float64)
-        if arr.ndim != 3 or arr.shape[2] != 3 or arr.shape[0] < 1:
-            raise UsageError(f"X[{i}] must have shape (T, J, 3) with T >= 1, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise UsageError(f"X[{i}] contains non-finite coordinates")
-        out.append(arr)
+        try:
+            seq = item if isinstance(item, SkeletonSequence) else SkeletonSequence(frames=item, label=0)
+        except DataError as exc:
+            raise UsageError(f"X[{i}]: {exc}") from exc
+        out.append(seq.frames)
     joints = {a.shape[1] for a in out}
     if len(joints) > 1:
         raise UsageError(f"sequences disagree on joint count: {sorted(joints)}")

@@ -2,6 +2,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,15 @@ class TestTrainCommand:
         assert code == 3
         assert f"{manifest}:3: partition 'nope'" in capsys.readouterr().err
 
+    def test_diverging_run_prints_no_numpy_warning(self, tmp_path, dataset_dir, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--manifest", str(dataset_dir / "manifest.tsv"),
+                         "--out", str(tmp_path / "o")] + FAST_TRAIN + ["--lr", "1e10"])
+        assert code == 2
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert capsys.readouterr().err.startswith("error: loss is")
+
     def test_config_file_matches_flags(self, tmp_path, dataset_dir):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -163,6 +173,48 @@ class TestEvalCommand:
         assert code == 3
         assert "beyond float32 range" in capsys.readouterr().err
 
+    def test_invalid_utf8_sequence_exits_3(self, trained_dir, tmp_path, capsys):
+        seq = tmp_path / "s.txt"
+        seq.write_bytes((" ".join(["0"] * 66) + "\n").encode() * 5 + b"\xff\n")
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("classes=3\njoints=22\ns.txt\t0\ttest\n")
+        code = main(["eval", "--checkpoint", str(trained_dir / "model.ckpt"), "--manifest", str(manifest)])
+        assert code == 3
+        assert f"{seq}:6: sequence file is not UTF-8" in capsys.readouterr().err
+
+    def test_invalid_utf8_manifest_exits_3(self, trained_dir, tmp_path, capsys):
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_bytes(b"classes=3\xff\njoints=22\n")
+        code = main(["eval", "--checkpoint", str(trained_dir / "model.ckpt"), "--manifest", str(manifest)])
+        assert code == 3
+        assert f"{manifest}:1: manifest is not UTF-8" in capsys.readouterr().err
+
+    def test_invalid_utf8_partition_file_exits_3(self, trained_dir, dataset_dir, tmp_path, capsys):
+        shutil.copytree(dataset_dir, tmp_path / "d")
+        (tmp_path / "d" / "parts.txt").write_bytes(
+            b"2,3,4,5\n6,7,8,9\n10,11,12,13\n14,15,16,17\n18,19,20,21\n0,\xff1\n")
+        manifest = tmp_path / "d" / "manifest.tsv"
+        manifest.write_text(manifest.read_text().replace("partition=shrec22", "partition=parts.txt"))
+        code = main(["eval", "--checkpoint", str(trained_dir / "model.ckpt"), "--manifest", str(manifest)])
+        assert code == 3
+        assert "parts.txt:6: partition file is not UTF-8" in capsys.readouterr().err
+
+    def test_invalid_utf8_tensor_name_exits_2(self, trained_dir, dataset_dir, tmp_path, capsys):
+        blob = (trained_dir / "model.ckpt").read_bytes()
+        at = blob.index(b"joint.w")
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
+        code = main(["eval", "--checkpoint", str(bad), "--manifest", str(dataset_dir / "manifest.tsv")])
+        assert code == 2
+        assert f"{bad}: tensor name is not UTF-8" in capsys.readouterr().err
+
+    def test_joint_count_without_partition_exits_3(self, trained_dir, dataset_dir, tmp_path, capsys):
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text(f"classes=3\njoints=19\n{dataset_dir / 'seq' / 'class0_sample000.txt'}\t0\ttest\n")
+        code = main(["eval", "--checkpoint", str(trained_dir / "model.ckpt"), "--manifest", str(manifest)])
+        assert code == 3
+        assert f"{manifest}:2: no built-in partition for 19 joints" in capsys.readouterr().err
+
     def test_class_count_mismatch_exits_2(self, trained_dir, tmp_path):
         other = tmp_path / "other"
         assert main(synth_args(other, classes=4)) == 0
@@ -178,6 +230,12 @@ class TestProfileCommand:
         assert "params=527118" in out
         flops = int(out.split("flops=")[1].split()[0])
         assert 34_000_000 <= flops <= 46_000_000
+
+    def test_invalid_utf8_config_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"d_model=8\nheads=\xff2\n")
+        assert main(["profile", "--config", str(cfg)]) == 2
+        assert f"{cfg}:2: config file is not UTF-8" in capsys.readouterr().err
 
     def test_head_geometry_tradeoff_keeps_params(self, capsys):
         assert main(["profile", "--heads", "4", "--d-head", "64"]) == 0

@@ -14,7 +14,7 @@ from han.data import (
     load_manifest,
     load_partition,
     parse_sequence,
-    partition_by_name,
+    resolve_partition,
     uniform_sample,
     write_sequence,
 )
@@ -40,10 +40,10 @@ class TestPartitions:
         assert covered == list(range(joints))
 
     def test_by_name_and_default(self):
-        assert partition_by_name("shrec22") is SHREC22
+        assert resolve_partition("shrec22") is SHREC22
         assert default_partition(21) is FPHA21
         with pytest.raises(ConfigError):
-            partition_by_name("nope")
+            resolve_partition("nope")
         with pytest.raises(ConfigError):
             default_partition(19)
 
@@ -54,6 +54,15 @@ class TestPartitions:
     def test_gap_rejected(self):
         with pytest.raises(ConfigError):
             HandPartition(parts=((0,), (2,), (3,), (4,), (5,), (6,)))
+
+    def test_out_of_range_index_reported_without_building_its_range(self):
+        # a range up to the stray index would exhaust memory
+        with pytest.raises(ConfigError, match=r"cover joints \[1\]; indices \[99999999999\] are out of range for 6"):
+            HandPartition(parts=((0,), (2,), (3,), (4,), (5,), (99_999_999_999,)))
+
+    def test_fractional_index_rejected(self):
+        with pytest.raises(ConfigError, match=r"cover joints \[1\]"):
+            HandPartition(parts=((0,), (1.5,), (2,), (3,), (4,), (5,)))
 
     def test_partition_file_roundtrip(self, tmp_path):
         path = tmp_path / "parts.txt"
@@ -69,6 +78,34 @@ class TestPartitions:
         path.write_text("0,x\n1\n2\n3\n4\n5\n")
         with pytest.raises(ParseError):
             load_partition(str(path))
+
+
+class TestUtf8:
+    """One reader serves the sequence, manifest and partition files."""
+
+    def test_sequence_file(self, tmp_path):
+        path = tmp_path / "seq.txt"
+        path.write_bytes((" ".join(["0"] * 66) + "\n").encode() * 2 + b"0\xff\n")
+        with pytest.raises(ParseError, match=r"seq\.txt:3: sequence file is not UTF-8"):
+            parse_sequence(str(path), 22)
+
+    def test_manifest(self, tmp_path):
+        path = tmp_path / "manifest.tsv"
+        path.write_bytes(b"classes=2\n\xffjoints=22\n")
+        with pytest.raises(ParseError, match=r"manifest\.tsv:2: manifest is not UTF-8"):
+            load_manifest(str(path))
+
+    def test_partition_file(self, tmp_path):
+        path = tmp_path / "parts.txt"
+        path.write_bytes(b"0\n1\n2\n3\n4\n5\xfe\n")
+        with pytest.raises(ParseError, match=r"parts\.txt:6: partition file is not UTF-8"):
+            load_partition(str(path))
+
+    def test_line_endings_read_as_in_text_mode(self, tmp_path):
+        path = tmp_path / "seq.txt"
+        good = " ".join(["1"] * 66)
+        path.write_bytes(f"{good}\r\n{good}\r{good}\n".encode())
+        assert parse_sequence(str(path), 22).frame_count == 3
 
 
 class TestSequenceIO:
@@ -102,6 +139,13 @@ class TestSequenceIO:
         good = " ".join(["0"] * 66)
         path.write_text(good + "\n" + good.replace("0", token, 1) + "\n")
         with pytest.raises(ParseError, match=rf"seq\.txt:2: non-finite"):
+            parse_sequence(str(path), 22)
+
+    def test_coordinate_beyond_float32_names_file_and_line(self, tmp_path):
+        path = tmp_path / "seq.txt"
+        good = " ".join(["0"] * 66)
+        path.write_text(good + "\n" + good + "\n" + good.replace("0", "-1e39", 1) + "\n")
+        with pytest.raises(ParseError, match=r"seq\.txt:3: coordinate beyond float32 range"):
             parse_sequence(str(path), 22)
 
     def test_roundtrip_through_text(self, tmp_path):
@@ -216,6 +260,11 @@ class TestManifest:
     def test_unknown_partition_names_manifest_and_line(self, tmp_path):
         path = self.write_dataset(tmp_path, ["classes=2", "joints=22", "partition=nope"])
         with pytest.raises(ParseError, match=r"manifest\.tsv:3: partition 'nope'"):
+            load_manifest(path)
+
+    def test_joint_count_without_partition_names_manifest_and_line(self, tmp_path):
+        path = self.write_dataset(tmp_path, ["classes=2", "joints=19"])
+        with pytest.raises(ParseError, match=r"manifest\.tsv:2: no built-in partition for 19 joints"):
             load_manifest(path)
 
     def test_unknown_header_key(self, tmp_path):

@@ -1,0 +1,129 @@
+"""Byte-level fuzzing of every input file the package reads.
+
+A valid checkpoint, manifest, sequence file, partition file and `--config`
+file each get one single-byte flip, truncation or short insertion. The
+loader and the CLI commands that read the file may then only return
+normally or raise the documented `HanError` subclass (CLI exit 2 or 3);
+any other exception, or exit 4, is a failure.
+"""
+
+import shutil
+from contextlib import suppress
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from han.cli import _read_config_file, main
+from han.config import build_configs
+from han.data import load_manifest, load_partition, parse_sequence
+from han.errors import CheckpointError, ConfigError, DataError
+from han.model import load_checkpoint
+
+TINY = ["--d-model", "8", "--heads", "2", "--d-head", "4", "--frames", "4"]
+TRAIN = TINY + ["--max-epochs", "1", "--batch-size", "4", "--no-augment", "--seed", "1"]
+SHREC22_LINES = b"2,3,4,5\n6,7,8,9\n10,11,12,13\n14,15,16,17\n18,19,20,21\n0,1\n"
+CONFIG = b"# tiny run\nd_model=8\nheads=2\nd_head=4\nframes=4\nlr=0.01\naugment=off\npartition=shrec22\n"
+
+# each example runs a loader and up to two CLI commands on a tiny model
+FUZZ = settings(max_examples=25, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+
+
+@st.composite
+def mutated(draw, blob: bytes) -> bytes:
+    """`blob` with one byte flipped, its tail cut off, or 1-4 bytes inserted."""
+    kind = draw(st.sampled_from(["flip", "truncate", "insert"]))
+    at = draw(st.integers(0, len(blob) - 1))
+    if kind == "flip":
+        return blob[:at] + bytes([blob[at] ^ draw(st.integers(1, 255))]) + blob[at + 1:]
+    if kind == "truncate":
+        return blob[:at]
+    return blob[:at] + draw(st.binary(min_size=1, max_size=4)) + blob[at:]
+
+
+def exits_cleanly(argv, capsys):
+    code = main(argv)
+    capsys.readouterr()
+    assert code in (0, 2, 3), f"han {argv[0]} exited {code}"
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """A 2-class synthetic set, a tiny trained checkpoint, and the valid files the tests mutate."""
+    root = tmp_path_factory.mktemp("fuzz")
+    assert main(["synth", "--out", str(root / "data"), "--classes", "2", "--per-class", "3",
+                 "--min-frames", "4", "--max-frames", "6", "--seed", "1"]) == 0
+    assert main(["train", "--manifest", str(root / "data" / "manifest.tsv"),
+                 "--out", str(root / "run")] + TRAIN) == 0
+    return root
+
+
+def fresh_copy(corpus, tmp_path):
+    """A writable copy of the dataset, so each example mutates its own files."""
+    data = tmp_path / "data"
+    if data.exists():
+        shutil.rmtree(data)
+    shutil.copytree(corpus / "data", data)
+    return data
+
+
+@FUZZ
+@given(data=st.data())
+def test_checkpoint(corpus, tmp_path, capsys, data):
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(data.draw(mutated((corpus / "run" / "model.ckpt").read_bytes())))
+    with suppress(CheckpointError):
+        load_checkpoint(str(ckpt))
+    exits_cleanly(["eval", "--checkpoint", str(ckpt), "--manifest", str(corpus / "data" / "manifest.tsv")], capsys)
+
+
+@FUZZ
+@given(data=st.data())
+def test_manifest(corpus, tmp_path, capsys, data):
+    manifest = fresh_copy(corpus, tmp_path) / "manifest.tsv"
+    manifest.write_bytes(data.draw(mutated(manifest.read_bytes())))
+    with suppress(DataError):
+        load_manifest(str(manifest))
+    exits_cleanly(["eval", "--checkpoint", str(corpus / "run" / "model.ckpt"), "--manifest", str(manifest)], capsys)
+    exits_cleanly(["train", "--manifest", str(manifest), "--out", str(tmp_path / "run")] + TRAIN, capsys)
+
+
+@FUZZ
+@given(data=st.data())
+def test_sequence_file(corpus, tmp_path, capsys, data):
+    root = fresh_copy(corpus, tmp_path)
+    manifest = root / "manifest.tsv"
+    seq = Path(load_manifest(str(manifest)).split_entries("test")[0].path)
+    seq.write_bytes(data.draw(mutated(seq.read_bytes())))
+    with suppress(DataError):
+        parse_sequence(str(seq), 22)
+    exits_cleanly(["eval", "--checkpoint", str(corpus / "run" / "model.ckpt"), "--manifest", str(manifest)], capsys)
+    exits_cleanly(["export-attn", "--checkpoint", str(corpus / "run" / "model.ckpt"), "--sequence", str(seq),
+                   "--site", "Fusion", "--out", str(tmp_path / "attn")], capsys)
+
+
+@FUZZ
+@given(data=st.data())
+def test_partition_file(corpus, tmp_path, capsys, data):
+    root = fresh_copy(corpus, tmp_path)
+    parts = root / "parts.txt"
+    parts.write_bytes(data.draw(mutated(SHREC22_LINES)))
+    manifest = root / "manifest.tsv"
+    manifest.write_text(manifest.read_text().replace("partition=shrec22", "partition=parts.txt"))
+    with suppress(DataError):
+        load_partition(str(parts))
+    exits_cleanly(["eval", "--checkpoint", str(corpus / "run" / "model.ckpt"), "--manifest", str(manifest)], capsys)
+    exits_cleanly(["train", "--manifest", str(manifest), "--out", str(tmp_path / "run")] + TRAIN, capsys)
+
+
+@FUZZ
+@given(data=st.data())
+def test_config_file(tmp_path, capsys, data):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(data.draw(mutated(CONFIG)))
+    # a partition value names a built-in layout or a partition file, so data errors are documented too
+    with suppress(ConfigError, DataError):
+        build_configs(_read_config_file(str(cfg)))
+    exits_cleanly(["profile", "--config", str(cfg)], capsys)

@@ -487,6 +487,13 @@ class TestCheckpointRejects:
         with pytest.raises(CheckpointError, match=r"typed\.ckpt"):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("changes", [{"d_model": 8.5}, {"n_heads": 2.0}, {"class_count": 4.0}])
+    def test_fractional_counts(self, tmp_path, blob, changes):
+        path = tmp_path / "typed.ckpt"
+        path.write_bytes(_with_config_echo(blob, **changes))
+        with pytest.raises(CheckpointError, match=r"typed\.ckpt: invalid checkpoint config"):
+            load_checkpoint(str(path))
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_weights(self, tmp_path, value):
         model = HANModel(tiny_config(), seed=8)

@@ -5,7 +5,7 @@ import pytest
 
 from han.autodiff import GradientTape, Tensor, backward, parameter, reshape
 from han.data import SkeletonSequence
-from han.errors import ConfigError, UsageError
+from han.errors import ConfigError, DataError, UsageError
 from han.model import HANModel
 from han.rng import Rng
 from han.train import (
@@ -228,6 +228,14 @@ class TestTrainLoop:
             train_loop(seqs, [], model, config)
         # the step that produced the bad loss never ran, so no weight is non-finite yet
         assert all(np.all(np.isfinite(p.data)) for _, p in model.parameters())
+
+    def test_evaluate_names_the_overflowing_sequence_of_the_whole_split(self):
+        # 10 sequences span two EVAL_CHUNK forwards; the row is counted over the split
+        model = HANModel(tiny_config(class_count=3, frames=4), seed=5)
+        seqs = [SkeletonSequence(frames=np.zeros((4, 6, 3)), label=0) for _ in range(10)]
+        seqs[9].frames[2, 1, 0] = 1e39
+        with pytest.raises(DataError, match="sequence 9 of the batch"):
+            evaluate(model, seqs)
 
     def test_initial_loss_near_log_classes(self):
         seqs = toy_sequences(classes=4, joints=6, t=2)
