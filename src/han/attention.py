@@ -126,8 +126,12 @@ def attend_batch(
 ) -> Tensor:
     """Run the block on a batch of token groups: (B, N, d_model) -> (B, d_model).
 
-    `rng` is one dropout stream or a list of streams that split the B
-    groups evenly (see `autodiff.dropout`).
+    The block is one tape record; its backward is the closed form of the
+    six steps and reuses the forward's arrays.
+
+    In training mode at a nonzero dropout rate, `rng` is one dropout stream
+    or a list of streams that each draw an equal, contiguous share of the B
+    groups. Eval mode and rate 0 draw nothing.
 
     When `weights_out` is a list, the per-head attention weights are appended
     to it as a (B, n_heads, N, N) array (detached from the tape).
@@ -140,28 +144,72 @@ def attend_batch(
     if d != config.d_model:
         raise ShapeError(f"input width {d} does not match d_model {config.d_model}")
     params.validate(config)
+    inputs = (x, params.wk, params.wq, params.wv, params.wa, params.ba)
+    ad._check_same_dtype("attend_batch", *inputs)
     h, dh, hw = config.n_heads, config.d_head, config.heads_width
+    dtype = x.dtype.type
+    xs, wk, wq, wv, wa, ba = (t.data for t in inputs)
 
-    def split_heads(t: Tensor, axes: tuple[int, ...]) -> Tensor:
-        # (B, N, H*dh) -> (B, N, H, dh), then heads ahead of tokens
-        return ad.transpose(ad.reshape(t, (b, n, h, dh)), axes)
+    def split_heads(w: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+        # (B, N, H*dh) -> (B, N, H, dh), then heads ahead of tokens, materialised
+        return np.ascontiguousarray(np.transpose((xs @ w.T).reshape(b, n, h, dh), axes))
 
-    k_t = split_heads(ad.linear(x, params.wk), (0, 2, 3, 1))   # (B, H, dh, N)
-    q = split_heads(ad.linear(x, params.wq), (0, 2, 1, 3))     # (B, H, N, dh)
-    v = split_heads(ad.linear(x, params.wv), (0, 2, 1, 3))
+    k_t = split_heads(wk, (0, 2, 3, 1))                        # (B, H, dh, N)
+    q = split_heads(wq, (0, 2, 1, 3))                          # (B, H, N, dh)
+    v = split_heads(wv, (0, 2, 1, 3))
 
-    scores = ad.scale(ad.matmul(q, k_t), 1.0 / math.sqrt(dh))  # (B, H, N, N)
-    lam = ad.softmax(scores, axis=-1)
+    f = dtype(1.0 / math.sqrt(dh))
+    scores = (q @ k_t) * f                                     # (B, H, N, N)
+    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    lam = e / np.sum(e, axis=-1, keepdims=True)
     if weights_out is not None:
-        weights_out.append(lam.data.copy())
+        weights_out.append(lam.copy())
 
-    ctx = ad.matmul(lam, v)                                     # (B, H, N, dh)
-    ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, n, hw))
+    ctx = np.transpose(lam @ v, (0, 2, 1, 3)).reshape(b, n, hw)
+    pre = ctx @ wa.T + ba                                      # back to d_model
+    r = np.maximum(pre, 0)
+    mu = np.mean(r, axis=-1, keepdims=True)                    # layer norm, population variance
+    var = np.mean((r - mu) ** 2, axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + dtype(1e-5))
+    y = (r - mu) * inv
 
-    branch = ad.linear(ctx, params.wa, params.ba)             # back to d_model
-    branch = ad.relu(branch)
-    branch = ad.layer_norm(branch, axis=-1)
-    branch = ad.dropout(branch, config.dropout_rate, training, rng)
-    updated = ad.add(x, branch)
-    return ad.mean(updated, axis=1)
+    mask = None
+    if training and config.dropout_rate > 0.0:
+        if not rng:
+            raise UsageError("dropout in training mode needs an rng")
+        streams = [rng] if isinstance(rng, Rng) else rng
+        if b % len(streams):
+            raise ShapeError(f"dropout cannot split shape {x.shape} over {len(streams)} streams")
+        rate = config.dropout_rate
+        keep = ~np.concatenate([s.bernoulli((b // len(streams), n, d), rate) for s in streams])
+        mask = keep.astype(dtype) / dtype(1.0 - rate)
+    branch = y if mask is None else y * mask
+    out = Tensor(np.mean(xs + branch, axis=1))
 
+    def bwd(g):
+        gu = np.repeat(np.expand_dims(g / n, 1), n, axis=1)   # token mean
+        gy = gu if mask is None else gu * mask                 # dropout
+        ga = inv * (gy - np.mean(gy, axis=-1, keepdims=True) - y * np.mean(gy * y, axis=-1, keepdims=True))
+        ga = (ga * (pre > 0)).reshape(-1, d)                   # layer norm, then ReLU
+        gwa, gba = ga.T @ ctx.reshape(-1, hw), ga.sum(axis=0)
+        gc = np.transpose((ga @ wa).reshape(b, n, h, dh), (0, 2, 1, 3))   # (B, H, N, dh)
+        glam = gc @ np.swapaxes(v, -1, -2)
+        gv = np.swapaxes(lam, -1, -2) @ gc
+        gs = (glam - np.sum(glam * lam, axis=-1, keepdims=True)) * lam * f   # softmax, then scale
+        gq = gs @ np.swapaxes(k_t, -1, -2)
+        gk_t = np.swapaxes(q, -1, -2) @ gs
+
+        def unsplit(gh, axes, w):
+            # heads back to (B*N, H*dh), then through the projection
+            g2 = np.transpose(gh, axes).reshape(-1, hw)
+            return (g2 @ w).reshape(b, n, d), g2.T @ xs.reshape(-1, d)
+
+        gxv, gwv = unsplit(gv, (0, 2, 1, 3), wv)
+        gxq, gwq = unsplit(gq, (0, 2, 1, 3), wq)
+        gxk, gwk = unsplit(gk_t, (0, 3, 1, 2), wk)
+        gx = gu + gxv  # residual, then v, q, k: the summation order of tests/reference_ops.py
+        gx += gxq
+        gx += gxk
+        return gx, gwk, gwq, gwv, gwa, gba
+
+    return ad.record_op("attention", inputs, out, bwd)

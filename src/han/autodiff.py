@@ -7,6 +7,10 @@ gradient to input gradients. Records are appended in execution order, so
 replaying the tape back to front visits operations in exact reverse
 topological order of the forward pass.
 
+The ops here are the general-purpose ones the model wires its sites with.
+A block with its own closed-form backward, such as the attention block,
+registers itself as one record through `record_op`.
+
 Training runs in float32; float64 exists for gradient checking, where
 central finite differences need the extra headroom.
 """
@@ -17,8 +21,7 @@ import threading
 
 import numpy as np
 
-from .errors import ShapeError, UsageError, ConfigError
-from .rng import Rng
+from .errors import ShapeError, UsageError
 
 DEFAULT_DTYPE = np.float32
 
@@ -173,23 +176,6 @@ def _check_same_dtype(op: str, *tensors: Tensor) -> None:
 # operations
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; 2-d operands or stacked batches with equal leading dims."""
-    _check_same_dtype("matmul", a, b)
-    if a.ndim < 2 or b.ndim < 2 or a.ndim != b.ndim:
-        raise ShapeError(f"matmul needs equal-rank operands of rank >= 2, got {a.shape} and {b.shape}")
-    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data)
-
-    def bwd(g):
-        ga = g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None
-        gb = np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None
-        return ga, gb
-
-    return record_op("matmul", (a, b), out, bwd)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Affine map on the last axis: y[..., o] = sum_i x[..., i] * w[o, i] (+ b[o])."""
     if w.ndim != 2:
@@ -231,112 +217,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return record_op("add", (a, b), out, bwd)
 
 
-def scale(x: Tensor, factor: float) -> Tensor:
-    """Multiply by a python scalar constant."""
-    f = x.data.dtype.type(factor)
-    out = Tensor(x.data * f)
-
-    def bwd(g):
-        return (g * f,)
-
-    return record_op("scale", (x,), out, bwd)
-
-
-def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0))
-
-    def bwd(g):
-        return (g * (x.data > 0),)
-
-    return record_op("relu", (x,), out, bwd)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Normalized exponentials along `axis`, stabilized by max subtraction."""
-    _check_axis(x, axis)
-    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / np.sum(e, axis=axis, keepdims=True)
-    out = Tensor(y)
-
-    def bwd(g):
-        dot = np.sum(g * y, axis=axis, keepdims=True)
-        return ((g - dot) * y,)
-
-    return record_op("softmax", (x,), out, bwd)
-
-
-def layer_norm(x: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
-    """Zero-mean, unit-variance normalization along `axis` (no affine).
-
-    Population variance; eps keeps the zero-variance slice finite.
-    """
-    _check_axis(x, axis)
-    if x.shape[axis] < 1:
-        raise ShapeError(f"layer_norm axis {axis} is empty in shape {x.shape}")
-    mu = np.mean(x.data, axis=axis, keepdims=True)
-    var = np.mean((x.data - mu) ** 2, axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
-    y = (x.data - mu) * inv
-    out = Tensor(y)
-
-    def bwd(g):
-        gm = np.mean(g, axis=axis, keepdims=True)
-        gy = np.mean(g * y, axis=axis, keepdims=True)
-        return (inv * (g - gm - y * gy),)
-
-    return record_op("layer_norm", (x,), out, bwd)
-
-
-def mean(x: Tensor, axis: int) -> Tensor:
-    """Arithmetic mean along one axis (axis removed)."""
-    _check_axis(x, axis)
-    n = x.shape[axis]
-    out = Tensor(np.mean(x.data, axis=axis))
-
-    def bwd(g):
-        return (np.repeat(np.expand_dims(g / n, axis), n, axis=axis),)
-
-    return record_op("mean", (x,), out, bwd)
-
-
-def tensor_sum(x: Tensor) -> Tensor:
-    """Sum over all elements."""
-    out = Tensor(np.sum(x.data))
-
-    def bwd(g):
-        return (np.broadcast_to(g, x.data.shape).copy(),)
-
-    return record_op("sum", (x,), out, bwd)
-
-
-def dropout(x: Tensor, rate: float, training: bool, rng: Rng | list[Rng] | None = None) -> Tensor:
-    """Inverted dropout: zero with probability `rate`, scale survivors by 1/(1-rate).
-
-    `rng` is one stream, or a list of streams (one per sequence of a batch)
-    that each draw an equal, contiguous share of the leading axis. Identity
-    in eval mode or at rate 0; neither consumes randomness.
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return x
-    if not rng:
-        raise UsageError("dropout in training mode needs an rng")
-    streams = [rng] if isinstance(rng, Rng) else rng
-    if x.ndim == 0 or x.shape[0] % len(streams):
-        raise ShapeError(f"dropout cannot split shape {x.shape} over {len(streams)} streams")
-    share = (x.shape[0] // len(streams),) + x.shape[1:]
-    keep = ~np.concatenate([r.bernoulli(share, rate) for r in streams])
-    m = keep.astype(x.data.dtype) / x.data.dtype.type(1.0 - rate)
-    out = Tensor(x.data * m)
-
-    def bwd(g):
-        return (g * m,)
-
-    return record_op("dropout", (x,), out, bwd)
-
-
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = Tensor(x.data.reshape(shape))
 
@@ -344,16 +224,6 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
         return (g.reshape(x.data.shape),)
 
     return record_op("reshape", (x,), out, bwd)
-
-
-def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    out = Tensor(np.transpose(x.data, axes))
-    inverse = tuple(np.argsort(axes))
-
-    def bwd(g):
-        return (np.transpose(g, inverse),)
-
-    return record_op("transpose", (x,), out, bwd)
 
 
 def take(x: Tensor, indices, axis: int) -> Tensor:

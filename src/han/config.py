@@ -16,7 +16,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .attention import AttentionConfig
-from .data import SHREC22, AugmentationConfig, HandPartition, default_partition, resolve_partition
+from .data import (MAX_CLASSES, MAX_FRAMES, SHREC22, AugmentationConfig, HandPartition,
+                   default_partition, resolve_partition)
 from .errors import ConfigError
 
 
@@ -34,10 +35,10 @@ class HANConfig:
     share_t_att: bool = True
 
     def __post_init__(self):
-        if self.frames < 1:
-            raise ConfigError(f"frames must be >= 1, got {self.frames}")
-        if self.class_count < 2:
-            raise ConfigError(f"class_count must be >= 2, got {self.class_count}")
+        if not 1 <= self.frames <= MAX_FRAMES:
+            raise ConfigError(f"frames must be in [1, {MAX_FRAMES}], got {self.frames}")
+        if not 2 <= self.class_count <= MAX_CLASSES:
+            raise ConfigError(f"class_count must be in [2, {MAX_CLASSES}], got {self.class_count}")
 
     @property
     def joint_count(self) -> int:

@@ -25,6 +25,11 @@ import numpy as np
 from .errors import ConfigError, DataError, ParseError
 from .rng import Rng
 
+# the most classes and sampled frames a manifest, config or checkpoint may
+# declare; the model allocates its head and position table for them
+MAX_CLASSES = 65_536
+MAX_FRAMES = 4_096
+
 
 @dataclass(frozen=True)
 class HandPartition:
@@ -336,8 +341,10 @@ def load_manifest(path: str) -> Dataset:
         joint_count = int(header["joints"])
     except ValueError as exc:
         raise ParseError(f"{path}: non-integer manifest header value") from exc
-    if class_count < 2:
-        raise ParseError(f"{path}: classes must be >= 2, got {class_count}")
+    if not 2 <= class_count <= MAX_CLASSES:
+        raise ParseError(
+            f"{path}:{header_lines['classes']}: classes must be in [2, {MAX_CLASSES}], got {class_count}"
+        )
 
     key = "partition" if "partition" in header else "joints"  # the line a partition error names
     try:

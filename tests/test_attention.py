@@ -11,10 +11,13 @@ from han.attention import (
     init_attention_params,
     positional_embedding,
 )
+from han.autodiff import GradientTape, backward
 from han.errors import ConfigError, ShapeError, UsageError
 from han.rng import Rng
 
-from oracles import scalar_attention_matrix, scalar_attention_reference
+from oracles import (central_difference, max_relative_error, scalar_attention_matrix,
+                     scalar_attention_reference)
+from reference_ops import attend_batch_reference
 
 RS = np.random.RandomState(77)
 
@@ -238,3 +241,100 @@ class TestAttentionWeights:
         params = make_params(config)
         _, avg = weights_one(RS.uniform(-1, 1, (1, config.d_model)), params, config)
         assert np.allclose(avg, [[1.0]])
+
+
+def block_loss(out, weights):
+    """A scalar that weights every output element differently: (1, B*d) @ weights.T."""
+    b, d = out.shape
+    return ad.linear(ad.reshape(out, (1, b * d)), ad.constant(weights))
+
+
+def run_block(block, x, params, config, weights, **kw):
+    """Output and the gradients of x and the five parameters after one backward."""
+    leaves = [x] + [t for _, t in params.named("blk")]
+    with GradientTape() as tape:
+        out = block(x, params, config, **kw)
+        backward(block_loss(out, weights), tape)
+    result = [out.data.copy()] + [t.grad.copy() for t in leaves]
+    tape.reset()
+    return result
+
+
+class TestFusedBlock:
+    def test_one_tape_record_per_call(self):
+        config = small_config()
+        params = make_params(config)
+        x = ad.parameter(np.random.RandomState(80).uniform(-1, 1, (3, 4, config.d_model)), dtype=np.float64)
+        with GradientTape() as tape:
+            attend_batch(x, params, config)
+        assert len(tape) == 1
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_matches_reference_composition_bit_for_bit(self, dtype, dropout):
+        config = small_config(n_heads=3, d_head=2, dropout_rate=dropout)
+        params = make_params(config, seed=31, dtype=dtype)
+        rs = np.random.RandomState(81)
+        x = ad.parameter(rs.uniform(-1, 1, (3, 5, config.d_model)), dtype=dtype)
+        weights = rs.uniform(-1, 1, (1, 3 * config.d_model))
+
+        def run(block):
+            streams = [Rng(4, f"dropout/0/{i}") for i in range(3)]
+            return run_block(block, x, params, config, weights.astype(dtype), training=True, rng=streams)
+
+        got, want = run(attend_batch), run(attend_batch_reference)
+        assert len(got) == 7
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestBlockDropout:
+    def make(self, rate=0.3):
+        config = small_config(dropout_rate=rate)
+        x = ad.constant(np.random.RandomState(82).uniform(-1, 1, (4, 3, config.d_model)))
+        return config, make_params(config, seed=6), x
+
+    @pytest.mark.parametrize("training, rate", [(False, 0.3), (True, 0.0)])
+    def test_no_draws_in_eval_mode_or_at_rate_zero(self, training, rate):
+        config, params, x = self.make(rate)
+        streams = [Rng(7, "a"), Rng(7, "b")]
+        out = attend_batch(x, params, config, training=training, rng=streams).data
+        assert np.array_equal(out, attend_batch(x, params, config).data)
+        for used, name in zip(streams, "ab"):
+            assert np.array_equal(used.uniform((5,)), Rng(7, name).uniform((5,)))
+
+    @pytest.mark.parametrize("rng", [None, []])
+    def test_training_without_rng_errors(self, rng):
+        config, params, x = self.make()
+        with pytest.raises(UsageError, match="needs an rng"):
+            attend_batch(x, params, config, training=True, rng=rng)
+
+    def test_streams_must_divide_the_batch(self):
+        config, params, x = self.make()
+        with pytest.raises(ShapeError, match=r"cannot split shape \(4, 3, 6\) over 3 streams"):
+            attend_batch(x, params, config, training=True, rng=[Rng(1, str(i)) for i in range(3)])
+
+    def test_equal_streams_give_equal_output(self):
+        config, params, x = self.make()
+        halves = ad.constant(np.concatenate([x.data[:2], x.data[:2]]))
+        out = attend_batch(halves, params, config, training=True, rng=[Rng(5, "d"), Rng(5, "d")]).data
+        again = attend_batch(halves, params, config, training=True, rng=[Rng(5, "d"), Rng(5, "d")]).data
+        assert np.array_equal(out, again)
+        assert np.array_equal(out[:2], out[2:])
+        assert not np.array_equal(out, attend_batch(halves, params, config).data)
+
+    def test_gradcheck_with_dropout_and_two_streams(self):
+        config, params, x = self.make()
+        x = ad.parameter(x.data, dtype=np.float64)
+        weights = np.random.RandomState(83).uniform(-1, 1, (1, 4 * config.d_model))
+
+        def loss():
+            out = attend_batch(x, params, config, training=True, rng=[Rng(9, "s0"), Rng(9, "s1")])
+            return block_loss(out, weights)
+
+        analytic = run_block(attend_batch, x, params, config, weights,
+                             training=True, rng=[Rng(9, "s0"), Rng(9, "s1")])[1:]
+        leaves = [x] + [t for _, t in params.named("blk")]
+        for leaf, got in zip(leaves, analytic):
+            want = central_difference(lambda: loss().item(), leaf.data)
+            assert max_relative_error(got, want) < 1e-6, f"gradient mismatch on shape {leaf.shape}"

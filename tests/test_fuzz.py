@@ -7,6 +7,7 @@ normally or raise the documented `HanError` subclass (CLI exit 2 or 3);
 any other exception, or exit 4, is a failure.
 """
 
+import re
 import shutil
 from contextlib import suppress
 from pathlib import Path
@@ -18,8 +19,10 @@ from hypothesis import strategies as st
 from han.cli import _read_config_file, main
 from han.config import build_configs
 from han.data import load_manifest, load_partition, parse_sequence
-from han.errors import CheckpointError, ConfigError, DataError
+from han.errors import CheckpointError, ConfigError, DataError, ParseError
 from han.model import load_checkpoint
+
+from test_model import _with_config_echo
 
 TINY = ["--d-model", "8", "--heads", "2", "--d-head", "4", "--frames", "4"]
 TRAIN = TINY + ["--max-epochs", "1", "--batch-size", "4", "--no-augment", "--seed", "1"]
@@ -127,3 +130,40 @@ def test_config_file(tmp_path, capsys, data):
     with suppress(ConfigError, DataError):
         build_configs(_read_config_file(str(cfg)))
     exits_cleanly(["profile", "--config", str(cfg)], capsys)
+
+
+# Counts beyond the bounds would make the model allocate for them; each file or
+# flag that declares one is rejected first, naming the file and line.
+
+def test_manifest_class_count_beyond_bound(corpus, tmp_path, capsys):
+    manifest = fresh_copy(corpus, tmp_path) / "manifest.tsv"
+    lines = manifest.read_text().split("\n")
+    line = next(i for i, text in enumerate(lines, start=1) if text.startswith("classes="))
+    lines[line - 1] = "classes=99999999999"
+    manifest.write_text("\n".join(lines))
+    message = f"{manifest}:{line}: classes must be in [2, 65536], got 99999999999"
+    with pytest.raises(ParseError) as info:
+        load_manifest(str(manifest))
+    assert str(info.value) == message
+    assert main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "run")] + TRAIN) == 3
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("changes", [{"class_count": 99999999999}, {"frames": 40000}])
+def test_checkpoint_echo_beyond_bound(corpus, tmp_path, capsys, changes):
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(_with_config_echo((corpus / "run" / "model.ckpt").read_bytes(), **changes))
+    (key, value), = changes.items()
+    message = f"{ckpt}: invalid checkpoint config: {key} must be in"
+    with pytest.raises(CheckpointError, match=re.escape(message)):
+        load_checkpoint(str(ckpt))
+    assert main(["eval", "--checkpoint", str(ckpt), "--manifest", str(corpus / "data" / "manifest.tsv")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_frames_flag_beyond_bound(corpus, tmp_path, capsys):
+    code = main(["train", "--manifest", str(corpus / "data" / "manifest.tsv"),
+                 "--out", str(tmp_path / "run")] + TRAIN + ["--frames", "99999999"])
+    assert code == 2
+    assert "frames must be in [1, 4096], got 99999999" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()

@@ -502,3 +502,16 @@ class TestCheckpointRejects:
         save_checkpoint(model, path)
         with pytest.raises(CheckpointError, match=r"nonfinite\.ckpt.*'cls\.b'.*non-finite"):
             load_checkpoint(path)
+
+
+class TestTapeSize:
+    """Every attention call is one tape record, so a step's tape stays short."""
+
+    @pytest.mark.parametrize("shared, most", [(True, 50), (False, 69)])
+    def test_training_forward_and_loss_at_default_geometry(self, shared, most):
+        model = HANModel(HANConfig(share_j_att=shared, share_t_att=shared), seed=2)
+        frames = np.random.RandomState(48).uniform(-1, 1, (3, 8, 22, 3))
+        with GradientTape() as tape:
+            logits = forward(frames, model, training=True, rng=[Rng(1, f"dropout/0/{i}") for i in range(3)])
+            cross_entropy(logits, [0, 5, 13])
+        assert len(tape) <= most
