@@ -149,10 +149,11 @@ def attend_batch(
     h, dh, hw = config.n_heads, config.d_head, config.heads_width
     dtype = x.dtype.type
     xs, wk, wq, wv, wa, ba = (t.data for t in inputs)
+    x2 = xs.reshape(-1, d)  # every projection is one 2-D GEMM over all B*N rows
 
     def split_heads(w: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-        # (B, N, H*dh) -> (B, N, H, dh), then heads ahead of tokens, materialised
-        return np.ascontiguousarray(np.transpose((xs @ w.T).reshape(b, n, h, dh), axes))
+        # (B*N, H*dh) -> (B, N, H, dh), then heads ahead of tokens, materialised
+        return np.ascontiguousarray(np.transpose((x2 @ w.T).reshape(b, n, h, dh), axes))
 
     k_t = split_heads(wk, (0, 2, 3, 1))                        # (B, H, dh, N)
     q = split_heads(wq, (0, 2, 1, 3))                          # (B, H, N, dh)
@@ -165,8 +166,8 @@ def attend_batch(
     if weights_out is not None:
         weights_out.append(lam.copy())
 
-    ctx = np.transpose(lam @ v, (0, 2, 1, 3)).reshape(b, n, hw)
-    pre = ctx @ wa.T + ba                                      # back to d_model
+    ctx = np.transpose(lam @ v, (0, 2, 1, 3)).reshape(-1, hw)  # (B*N, H*dh)
+    pre = (ctx @ wa.T).reshape(b, n, d) + ba                   # back to d_model
     r = np.maximum(pre, 0)
     mu = np.mean(r, axis=-1, keepdims=True)                    # layer norm, population variance
     var = np.mean((r - mu) ** 2, axis=-1, keepdims=True)
@@ -191,7 +192,7 @@ def attend_batch(
         gy = gu if mask is None else gu * mask                 # dropout
         ga = inv * (gy - np.mean(gy, axis=-1, keepdims=True) - y * np.mean(gy * y, axis=-1, keepdims=True))
         ga = (ga * (pre > 0)).reshape(-1, d)                   # layer norm, then ReLU
-        gwa, gba = ga.T @ ctx.reshape(-1, hw), ga.sum(axis=0)
+        gwa, gba = ga.T @ ctx, ga.sum(axis=0)
         gc = np.transpose((ga @ wa).reshape(b, n, h, dh), (0, 2, 1, 3))   # (B, H, N, dh)
         glam = gc @ np.swapaxes(v, -1, -2)
         gv = np.swapaxes(lam, -1, -2) @ gc
@@ -202,7 +203,7 @@ def attend_batch(
         def unsplit(gh, axes, w):
             # heads back to (B*N, H*dh), then through the projection
             g2 = np.transpose(gh, axes).reshape(-1, hw)
-            return (g2 @ w).reshape(b, n, d), g2.T @ xs.reshape(-1, d)
+            return (g2 @ w).reshape(b, n, d), g2.T @ x2
 
         gxv, gwv = unsplit(gv, (0, 2, 1, 3), wv)
         gxq, gwq = unsplit(gq, (0, 2, 1, 3), wq)

@@ -143,7 +143,13 @@ def backward(loss: Tensor, tape: GradientTape) -> None:
     """Accumulate d(loss)/d(tensor) into .grad for every tensor on the tape.
 
     The loss must be a scalar; its seed gradient is 1. Tensors not on any
-    path to the loss keep grad=None.
+    path to the loss keep grad=None, and so does every record's output once
+    its record has run: only the tape's leaves keep a gradient.
+
+    A first gradient is kept as given and later ones are added out of place,
+    because one array may reach several tensors (`add` hands out the same
+    array twice, `reshape` and `stack` hand out views) or stay held by a
+    backward closure; backward never writes into a gradient array.
     """
     if loss.size != 1:
         raise UsageError(f"backward() needs a scalar loss, got shape {loss.shape}")
@@ -153,6 +159,7 @@ def backward(loss: Tensor, tape: GradientTape) -> None:
         if g_out is None:
             continue
         grads_in = rec.backward_fn(g_out)
+        rec.output.grad = None
         for t, g in zip(rec.inputs, grads_in):
             if g is None or not t.requires_grad:
                 continue
@@ -161,9 +168,9 @@ def backward(loss: Tensor, tape: GradientTape) -> None:
                     f"{rec.op} backward produced gradient {g.shape} for input {t.data.shape}"
                 )
             if t.grad is None:
-                t.grad = g.astype(t.data.dtype, copy=True)
+                t.grad = g.astype(t.data.dtype, copy=False)
             else:
-                t.grad += g
+                t.grad = t.grad + g
 
 
 def _check_same_dtype(op: str, *tensors: Tensor) -> None:
@@ -185,7 +192,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None and b.shape != (w.shape[0],):
         raise ShapeError(f"linear: bias {b.shape} does not match weight {w.shape}")
     _check_same_dtype("linear", *([x, w] + ([b] if b is not None else [])))
-    y = x.data @ w.data.T
+    # one 2-D GEMM over all rows: a stacked product on a 3-D operand is several times slower
+    y = (x.data.reshape(-1, w.shape[1]) @ w.data.T).reshape(x.shape[:-1] + (w.shape[0],))
     if b is not None:
         y = y + b.data
     out = Tensor(y)
@@ -238,8 +246,11 @@ def take(x: Tensor, indices, axis: int) -> Tensor:
 
     def bwd(g):
         gx = np.zeros_like(x.data)
-        loc = (slice(None),) * axis + (idx,)
-        np.add.at(gx, loc, g)
+        loc = (slice(None),) * (axis % x.ndim) + (idx,)
+        if np.unique(idx).size == idx.size:
+            gx[loc] += g  # one write per index: far cheaper than np.add.at
+        else:
+            np.add.at(gx, loc, g)
         return (gx,)
 
     return record_op("take", (x,), out, bwd)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import CONFIG_KEYS, build_configs
 from .data import load_manifest, parse_sequence, read_lines, uniform_sample
-from .errors import ConfigError, DataError, HanError, UsageError
+from .errors import CheckpointError, ConfigError, DataError, HanError, UsageError
 from .model import HANModel, SITES, extract_attention, load_checkpoint, save_checkpoint
 from .profile import cost_report
 from .synth import SynthConfig, generate_dataset
@@ -151,7 +151,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     sequences = dataset.load_split(args.split)
     if not sequences:
         raise DataError(f"manifest has no '{args.split}' entries")
-    report = evaluate(model, sequences)
+    try:
+        report = evaluate(model, sequences)
+    except ConfigError as exc:  # non-finite logits: the checkpoint's weights overflow
+        raise CheckpointError(f"{args.checkpoint}: {exc}") from exc
     if args.confusion:
         write_confusion_csv(args.confusion, report)
     print(f"accuracy={report.accuracy:.8g} samples={int(report.confusion.sum())}")

@@ -168,7 +168,7 @@ class SkeletonSequence:
 def parse_sequence(path: str, joint_count: int, label: int = 0) -> SkeletonSequence:
     """Read one sequence file; every nonempty line must hold exactly 3*J reals."""
     want = 3 * joint_count
-    frames, linenos = [], []
+    values, linenos = [], []  # every frame's values in one list: one array per file
     for lineno, line in enumerate(read_lines(path, "sequence file"), start=1):
         tokens = line.split()
         if not tokens:
@@ -176,14 +176,13 @@ def parse_sequence(path: str, joint_count: int, label: int = 0) -> SkeletonSeque
         if len(tokens) != want:
             raise ParseError(f"{path}:{lineno}: expected {want} values for {joint_count} joints, found {len(tokens)}")
         try:
-            values = [float(tok) for tok in tokens]
+            values.extend(map(float, tokens))
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: non-numeric token") from exc
-        frames.append(np.asarray(values, dtype=np.float64).reshape(joint_count, 3))
         linenos.append(lineno)
-    if not frames:
+    if not linenos:
         raise ParseError(f"{path}: no frames found")
-    frames = np.stack(frames)
+    frames = np.array(values, dtype=np.float64).reshape(-1, joint_count, 3)
     # one pass per file (a per-line check slows parsing); nan fails the comparison too
     in_range = (np.abs(frames) <= np.finfo(np.float32).max).all(axis=(1, 2))
     if not in_range.all():

@@ -228,11 +228,17 @@ def train_loop(
             tape.reset()
             loss_sum += loss * len(batch)
 
+        for name, p in named:  # the epoch's last Adam step can diverge after its loss was checked
+            if not np.isfinite(p.data).all():
+                raise ConfigError(f"parameter {name} is not finite after epoch {epoch} with lr {lr:.8g}; "
+                                  f"lower lr_init")
         train_loss = loss_sum / len(train_seqs)
         train_acc = correct / len(train_seqs)
         if val_seqs:
-            with np.errstate(over="ignore", invalid="ignore"):  # the next loss check reports a divergence
+            try:
                 val_acc = evaluate(model, val_seqs).accuracy
+            except ConfigError:  # overflowing logits have no accuracy; the next loss check reports them
+                val_acc = math.nan
             metric = val_acc
         else:
             val_acc = math.nan

@@ -4,11 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from han import autodiff as ad
-from han.autodiff import GradientTape, Tensor, backward
+from han.autodiff import GradientTape, Tensor, backward, record_op
 from han.errors import ConfigError, ShapeError, UsageError
+from han.model import HANModel, forward
 from han.rng import Rng
+from han.train import cross_entropy
 
 import reference_ops as ref
+from conftest import tiny_config
 from oracles import central_difference, max_relative_error
 
 RS = np.random.RandomState(1234)
@@ -180,6 +183,58 @@ class TestElementwiseAndReductions:
         elif op == "scale":
             x = Tensor(rand((3,)), requires_grad=True, dtype=np.float64)
             check_grad(lambda: ref.tensor_sum(ref.scale(x, -2.5)), [x])
+
+
+    @pytest.mark.parametrize("indices, axis", [
+        ([3, 0, 4], 1),      # unique: one indexed add
+        ([1, 3, 1, 1], 1),   # duplicates: np.add.at accumulates
+        ([2, 0], -1),
+        ([2, 2, 0], -1),
+    ])
+    def test_take_gradient_with_unique_and_duplicate_indices(self, indices, axis):
+        x = Tensor(rand((4, 5, 3)), requires_grad=True, dtype=np.float64)
+        width = len(indices) if axis == -1 else 3
+        c = ad.constant(rand((1, width)), dtype=np.float64)
+        check_grad(lambda: ref.tensor_sum(ad.linear(ref.softmax(ad.take(x, indices, axis=axis)), c)), [x])
+
+
+class TestGradientOwnership:
+    def test_backward_never_writes_into_an_array_a_closure_returns(self):
+        x = ad.parameter(rand(3), dtype=np.float64)
+        held = rand(3)
+        before = held.copy()
+        with GradientTape() as tape:
+            # each record hands back the same captured array, and both reach x
+            ys = [record_op("hold", (x,), Tensor(2.0 * x.data), lambda g: (held,)) for _ in range(2)]
+            loss = ref.tensor_sum(ad.add(*ys))
+        backward(loss, tape)
+        assert np.array_equal(held, before)
+        assert np.array_equal(x.grad, 2.0 * before)
+
+    def test_add_and_linear_sharing_a_parameter(self):
+        a = ad.parameter(rand((4, 3)), dtype=np.float64)
+        b = ad.parameter(rand((4, 3)), dtype=np.float64)
+        w = ad.constant(rand((2, 3)), dtype=np.float64)
+        c = ad.constant(rand((1, 2)), dtype=np.float64)
+
+        def loss():
+            # linear(a) is recorded first, so its gradient reaches a after add has given
+            # a and b one shared array
+            via_a = ad.linear(a, w)
+            joined = ad.linear(ad.add(a, b), w)
+            return ref.tensor_sum(ad.linear(ref.softmax(ad.add(via_a, joined)), c))
+
+        check_grad(loss, [a, b], rtol=1e-7)
+
+    def test_only_parameters_keep_gradients(self):
+        model = HANModel(tiny_config(dropout=0.1), seed=3, dtype=np.float64)
+        frames = RS.uniform(-1, 1, (3, model.config.frames, model.config.joint_count, 3))
+        with GradientTape() as tape:
+            logits = forward(frames, model, training=True, rng=[Rng(5, f"d{i}") for i in range(3)])
+            loss = cross_entropy(logits, [0, 1, 3])
+        backward(loss, tape)
+        assert all(rec.output.grad is None for rec in tape._records)
+        assert all(p.grad is not None and p.grad.shape == p.shape for _, p in model.parameters())
 
 
 class TestDropout:

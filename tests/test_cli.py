@@ -9,6 +9,7 @@ import pytest
 
 from han.cli import main
 from han.data import load_manifest
+from han.model import load_checkpoint, save_checkpoint
 
 FAST_TRAIN = [
     "--d-model", "8", "--heads", "2", "--d-head", "4", "--dropout", "0.0",
@@ -119,6 +120,15 @@ class TestTrainCommand:
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert capsys.readouterr().err.startswith("error: loss is")
 
+    def test_divergence_in_the_last_epoch_exits_2_without_checkpoint(self, tmp_path, capsys):
+        data, out = tmp_path / "d", tmp_path / "o"
+        assert main(synth_args(data, classes=4)) == 0
+        code = main(["train", "--manifest", str(data / "manifest.tsv"), "--out", str(out)]
+                    + FAST_TRAIN + ["--max-epochs", "1", "--lr", "1e10"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "model.ckpt").exists()
+
     def test_config_file_matches_flags(self, tmp_path, dataset_dir):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -214,6 +224,17 @@ class TestEvalCommand:
         code = main(["eval", "--checkpoint", str(trained_dir / "model.ckpt"), "--manifest", str(manifest)])
         assert code == 3
         assert f"{manifest}:2: no built-in partition for 19 joints" in capsys.readouterr().err
+
+    def test_overflowing_weights_exit_2_naming_checkpoint(self, trained_dir, dataset_dir, tmp_path, capsys):
+        model = load_checkpoint(str(trained_dir / "model.ckpt"))
+        model.joint_w.data[:] = np.finfo(np.float32).max  # finite, but every logit overflows
+        bad = tmp_path / "huge.ckpt"
+        save_checkpoint(model, str(bad))
+        code = main(["eval", "--checkpoint", str(bad), "--manifest", str(dataset_dir / "manifest.tsv")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"error: {bad}: the model's logits for sequence ")
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_class_count_mismatch_exits_2(self, trained_dir, tmp_path):
         other = tmp_path / "other"

@@ -237,6 +237,23 @@ class TestTrainLoop:
         with pytest.raises(DataError, match="sequence 9 of the batch"):
             evaluate(model, seqs)
 
+    def test_non_finite_parameters_after_the_last_step_stop_training(self):
+        seqs = toy_sequences(classes=3, joints=6, t=5)
+        model = HANModel(tiny_config(class_count=3, frames=4), seed=5)
+        # one batch per epoch: its loss is finite, and the step after it overflows float32
+        config = TrainConfig(lr_init=1e39, seed=5, batch_size=64, warmup_epochs=1, max_epochs=1,
+                             augmentation=None)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ConfigError, match=r"parameter \S+ is not finite after epoch 0 with lr 1e\+39"):
+            train_loop(seqs, [], model, config)
+
+    def test_evaluate_names_the_first_sequence_with_non_finite_logits(self):
+        model = HANModel(tiny_config(class_count=3, frames=4), seed=5)
+        seqs = [SkeletonSequence(frames=np.zeros((4, 6, 3)), label=0) for _ in range(10)]
+        seqs[9].frames[2, 1, 0] = 1e30  # within float32 range, but the attention scores overflow
+        with pytest.raises(ConfigError, match="logits for sequence 9 are not finite"):
+            evaluate(model, seqs)
+
     def test_initial_loss_near_log_classes(self):
         seqs = toy_sequences(classes=4, joints=6, t=2)
         for seed in range(10):
