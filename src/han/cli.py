@@ -151,10 +151,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     sequences = dataset.load_split(args.split)
     if not sequences:
         raise DataError(f"manifest has no '{args.split}' entries")
-    try:
-        report = evaluate(model, sequences)
-    except ConfigError as exc:  # non-finite logits: the checkpoint's weights overflow
-        raise CheckpointError(f"{args.checkpoint}: {exc}") from exc
+    report = evaluate(model, sequences)
+    if report.first_non_finite is not None:
+        path = dataset.split_entries(args.split)[report.first_non_finite].path
+        raise CheckpointError(f"{args.checkpoint}: {path}: probabilities are not finite: the checkpoint's "
+                              f"weights or this sequence's values overflow {np.dtype(model.dtype).name}")
     if args.confusion:
         write_confusion_csv(args.confusion, report)
     print(f"accuracy={report.accuracy:.8g} samples={int(report.confusion.sum())}")

@@ -19,6 +19,7 @@ from __future__ import annotations
 import io
 import os
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -168,21 +169,26 @@ class SkeletonSequence:
 def parse_sequence(path: str, joint_count: int, label: int = 0) -> SkeletonSequence:
     """Read one sequence file; every nonempty line must hold exactly 3*J reals."""
     want = 3 * joint_count
-    values, linenos = [], []  # every frame's values in one list: one array per file
-    for lineno, line in enumerate(read_lines(path, "sequence file"), start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        if len(tokens) != want:
-            raise ParseError(f"{path}:{lineno}: expected {want} values for {joint_count} joints, found {len(tokens)}")
-        try:
-            values.extend(map(float, tokens))
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: non-numeric token") from exc
-        linenos.append(lineno)
+    linenos = []
+
+    def rows():
+        for lineno, line in enumerate(read_lines(path, "sequence file"), start=1):
+            tokens = line.split()
+            if not tokens:
+                continue
+            if len(tokens) != want:
+                raise ParseError(f"{path}:{lineno}: expected {want} values for {joint_count} joints, "
+                                 f"found {len(tokens)}")
+            linenos.append(lineno)
+            yield map(float, tokens)
+
+    try:  # one array per file, filled value by value: a list of every value would raise peak memory
+        values = np.fromiter(chain.from_iterable(rows()), dtype=np.float64)
+    except ValueError as exc:  # from float() on the line last started
+        raise ParseError(f"{path}:{linenos[-1]}: non-numeric token") from exc
     if not linenos:
         raise ParseError(f"{path}: no frames found")
-    frames = np.array(values, dtype=np.float64).reshape(-1, joint_count, 3)
+    frames = values.reshape(-1, joint_count, 3)
     # one pass per file (a per-line check slows parsing); nan fails the comparison too
     in_range = (np.abs(frames) <= np.finfo(np.float32).max).all(axis=(1, 2))
     if not in_range.all():

@@ -177,21 +177,16 @@ def forward(seqs, model: HANModel, training: bool = False, rng: Rng | list[Rng] 
 def probabilities(seqs, model: HANModel) -> np.ndarray:
     """Eval-mode class probabilities (B, C) in float64, forwarded EVAL_CHUNK sequences at a time.
 
-    Logits that are not finite (weights or inputs that overflow the forward)
-    are a ConfigError naming the first such sequence, never a silent class 0.
+    A sequence whose forward overflows gets a row that is not finite;
+    `evaluate` reports it, and `predict` passes it on.
     """
     if len(seqs) == 0:
         raise UsageError("probabilities needs at least one sequence")
     frames = _batch_array(seqs, model)  # checked whole, so an error names the row in `seqs`
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, per row
-        logits = np.concatenate([
-            forward(frames[start:start + EVAL_CHUNK], model).data.astype(np.float64)
-            for start in range(0, len(frames), EVAL_CHUNK)
-        ])
-    finite = np.isfinite(logits).all(axis=1)
-    if not finite.all():
-        raise ConfigError(f"the model's logits for sequence {int(np.argmin(finite))} are not finite: "
-                          f"its forward overflows {np.dtype(model.dtype).name}")
+    logits = np.concatenate([
+        forward(frames[start:start + EVAL_CHUNK], model).data.astype(np.float64)
+        for start in range(0, len(frames), EVAL_CHUNK)
+    ])
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 

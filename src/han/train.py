@@ -10,7 +10,7 @@ test split exists, otherwise the (negated) training loss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -127,9 +127,10 @@ class ScheduleState:
 
 @dataclass
 class EvalReport:
-    accuracy: float
+    accuracy: float  # nan when some sequence's probabilities are not finite
     per_class_accuracy: np.ndarray
     confusion: np.ndarray  # (C, C) counts, rows = true class
+    first_non_finite: int | None = None  # index of the first sequence whose forward overflowed
 
 
 def metrics_from_pairs(true_labels, pred_labels, class_count: int) -> EvalReport:
@@ -146,12 +147,22 @@ def metrics_from_pairs(true_labels, pred_labels, class_count: int) -> EvalReport
 
 
 def evaluate(model: HANModel, sequences: list[SkeletonSequence]) -> EvalReport:
-    """Deterministic eval-mode accuracy and confusion matrix over a split."""
-    pred = []
+    """Deterministic eval-mode accuracy and confusion matrix over a split.
+
+    A sequence whose forward overflows still fills a confusion-matrix row,
+    but it is named in `first_non_finite` and the accuracy is nan: never a
+    silent class-0 score.
+    """
+    pred, bad = [], None
     if sequences:
         sampled = [uniform_sample(seq, model.config.frames) for seq in sequences]
-        pred = np.argmax(probabilities(sampled, model), axis=1)
-    return metrics_from_pairs([seq.label for seq in sequences], pred, model.config.class_count)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported in the result
+            probs = probabilities(sampled, model)
+        finite = np.isfinite(probs).all(axis=1)
+        bad = None if finite.all() else int(np.argmin(finite))
+        pred = np.argmax(probs, axis=1)
+    report = metrics_from_pairs([seq.label for seq in sequences], pred, model.config.class_count)
+    return report if bad is None else replace(report, accuracy=math.nan, first_non_finite=bad)
 
 
 @dataclass
@@ -235,10 +246,7 @@ def train_loop(
         train_loss = loss_sum / len(train_seqs)
         train_acc = correct / len(train_seqs)
         if val_seqs:
-            try:
-                val_acc = evaluate(model, val_seqs).accuracy
-            except ConfigError:  # overflowing logits have no accuracy; the next loss check reports them
-                val_acc = math.nan
+            val_acc = evaluate(model, val_seqs).accuracy  # nan on an overflow; the next loss check reports it
             metric = val_acc
         else:
             val_acc = math.nan
@@ -250,9 +258,12 @@ def train_loop(
         if stop or (config.max_epochs is not None and epoch >= config.max_epochs):
             break
 
-    final_train = evaluate(model, train_seqs).accuracy
+    final_train = evaluate(model, train_seqs)
+    if final_train.first_non_finite is not None:  # the last epoch's steps overflow the forward
+        raise ConfigError(f"the forward of training sequence {final_train.first_non_finite} overflows after "
+                          f"epoch {epoch - 1} with lr {lr:.8g}; lower lr_init")
     final_val = evaluate(model, val_seqs).accuracy if val_seqs else math.nan
-    return TrainResult(model=model, epochs=logs, final_train_acc=final_train, final_val_acc=final_val)
+    return TrainResult(model=model, epochs=logs, final_train_acc=final_train.accuracy, final_val_acc=final_val)
 
 
 def write_training_log(path: str, result: TrainResult) -> None:

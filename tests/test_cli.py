@@ -126,7 +126,7 @@ class TestTrainCommand:
         code = main(["train", "--manifest", str(data / "manifest.tsv"), "--out", str(out)]
                     + FAST_TRAIN + ["--max-epochs", "1", "--lr", "1e10"])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith("error: the forward of training sequence ")
         assert not (out / "model.ckpt").exists()
 
     def test_config_file_matches_flags(self, tmp_path, dataset_dir):
@@ -230,10 +230,26 @@ class TestEvalCommand:
         model.joint_w.data[:] = np.finfo(np.float32).max  # finite, but every logit overflows
         bad = tmp_path / "huge.ckpt"
         save_checkpoint(model, str(bad))
-        code = main(["eval", "--checkpoint", str(bad), "--manifest", str(dataset_dir / "manifest.tsv")])
+        manifest = dataset_dir / "manifest.tsv"
+        code = main(["eval", "--checkpoint", str(bad), "--manifest", str(manifest)])
+        captured = capsys.readouterr()
+        first = load_manifest(str(manifest)).split_entries("test")[0].path
+        assert code == 2
+        assert captured.err.startswith(f"error: {bad}: {first}: probabilities are not finite")
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_overflowing_sequence_exits_2_naming_its_file(self, trained_dir, dataset_dir, tmp_path, capsys):
+        shutil.copytree(dataset_dir, tmp_path / "d")
+        manifest = tmp_path / "d" / "manifest.tsv"
+        second = load_manifest(str(manifest)).split_entries("test")[1].path
+        with open(second) as fh:
+            rows = [line.split() for line in fh if line.strip()]
+        with open(second, "w") as fh:  # within float32 range, but the attention scores overflow
+            fh.writelines(" ".join(["1e30"] + row[1:]) + "\n" for row in rows)
+        code = main(["eval", "--checkpoint", str(trained_dir / "model.ckpt"), "--manifest", str(manifest)])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.err.startswith(f"error: {bad}: the model's logits for sequence ")
+        assert captured.err.startswith(f"error: {trained_dir / 'model.ckpt'}: {second}: probabilities are not finite")
         assert "Traceback" not in captured.err and captured.out == ""
 
     def test_class_count_mismatch_exits_2(self, trained_dir, tmp_path):

@@ -206,6 +206,15 @@ class TestPredict:
         assert cls == 0
         assert np.allclose(probs, 1.0 / config.class_count)
 
+    def test_overflowing_forward_gives_non_finite_probabilities(self):
+        # predict passes an overflow on for its caller to see; evaluate raises on it
+        config = tiny_config()
+        model = HANModel(config, seed=6)
+        model.joint_w.data[:] = np.finfo(np.float32).max
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, probs = predict(rand_frames(config), model)
+        assert not np.isfinite(probs).all()
+
 
 class TestGradients:
     def test_full_model_gradcheck_tiny_config(self):

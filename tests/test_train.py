@@ -251,8 +251,10 @@ class TestTrainLoop:
         model = HANModel(tiny_config(class_count=3, frames=4), seed=5)
         seqs = [SkeletonSequence(frames=np.zeros((4, 6, 3)), label=0) for _ in range(10)]
         seqs[9].frames[2, 1, 0] = 1e30  # within float32 range, but the attention scores overflow
-        with pytest.raises(ConfigError, match="logits for sequence 9 are not finite"):
-            evaluate(model, seqs)
+        report = evaluate(model, seqs)
+        assert report.first_non_finite == 9
+        assert math.isnan(report.accuracy)
+        assert int(report.confusion.sum()) == 10
 
     def test_initial_loss_near_log_classes(self):
         seqs = toy_sequences(classes=4, joints=6, t=2)
