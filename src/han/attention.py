@@ -11,7 +11,9 @@ d_model feature:
 5. token update: input + Drop(Norm(ReLU(W_a . concat + b_a))),
 6. mean over the N updated tokens.
 
-Position embeddings are always added by the caller, never here.
+Position embeddings are added by the caller. The joint site is the one
+exception: it passes raw coordinates with `embed`, and the block applies
+the joint embedding and its position rows itself (see `attend_batch`).
 """
 
 from __future__ import annotations
@@ -75,33 +77,30 @@ class AttentionParams:
         ]
 
     def validate(self, config: AttentionConfig) -> None:
-        hw, d = config.heads_width, config.d_model
-        for name, t, want in (
-            ("wk", self.wk, (hw, d)),
-            ("wq", self.wq, (hw, d)),
-            ("wv", self.wv, (hw, d)),
-            ("wa", self.wa, (d, hw)),
-            ("ba", self.ba, (d,)),
-        ):
+        for name, want, _ in param_table(config):
+            t = getattr(self, name)
             if t.shape != want:
                 raise ShapeError(f"attention param {name} has shape {t.shape}, expected {want}")
 
 
-def init_attention_params(config: AttentionConfig, rng: Rng, dtype=np.float32) -> AttentionParams:
-    """Uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)]; bias starts at zero."""
+def param_table(config: AttentionConfig) -> list[tuple[str, tuple[int, ...], float]]:
+    """Each block parameter's field, shape and init bound, in field order.
+
+    Weights start uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)]; a bound of 0
+    (the bias) starts at zero.
+    """
     hw, d = config.heads_width, config.d_model
+    fan_d, fan_hw = 1.0 / math.sqrt(d), 1.0 / math.sqrt(hw)
+    return [("wk", (hw, d), fan_d), ("wq", (hw, d), fan_d), ("wv", (hw, d), fan_d),
+            ("wa", (d, hw), fan_hw), ("ba", (d,), 0.0)]
 
-    def draw(shape, fan_in):
-        bound = 1.0 / math.sqrt(fan_in)
-        return ad.parameter(rng.uniform(shape, -bound, bound), dtype=dtype)
 
-    return AttentionParams(
-        wk=draw((hw, d), d),
-        wq=draw((hw, d), d),
-        wv=draw((hw, d), d),
-        wa=draw((d, hw), hw),
-        ba=ad.parameter(np.zeros(d), dtype=dtype),
-    )
+def init_attention_params(config: AttentionConfig, rng: Rng, dtype=np.float32) -> AttentionParams:
+    """One block drawn from `rng` by the bounds of `param_table`."""
+    return AttentionParams(**{
+        name: ad.parameter(rng.uniform(shape, -bound, bound) if bound else np.zeros(shape), dtype=dtype)
+        for name, shape, bound in param_table(config)
+    })
 
 
 def positional_embedding(position: int, d_model: int) -> np.ndarray:
@@ -123,6 +122,7 @@ def attend_batch(
     training: bool = False,
     rng: Rng | list[Rng] | None = None,
     weights_out: list | None = None,
+    embed: tuple[Tensor, Tensor, np.ndarray] | None = None,
 ) -> Tensor:
     """Run the block on a batch of token groups: (B, N, d_model) -> (B, d_model).
 
@@ -135,25 +135,54 @@ def attend_batch(
 
     When `weights_out` is a list, the per-head attention weights are appended
     to it as a (B, n_heads, N, N) array (detached from the tape).
+
+    With `embed=(w_e, b_e, pe)`, `x` holds constant raw coordinates (B, N, c)
+    and the block embeds them itself: token n is W_e·x_n + b_e + pe[n], with
+    w_e (d_model, c), b_e (d_model,) and the constant pe (N, d_model). The
+    embedding is affine, so K/Q/V come from the c-wide rows as
+    (W·W_e)·x_n + W·(b_e + pe[n]), and w_e and b_e get their gradients from
+    this record.
     """
     if x.ndim != 3:
         raise ShapeError(f"attend_batch needs (B, N, d_model), got {x.shape}")
-    b, n, d = x.shape
+    b, n, c = x.shape
+    d = config.d_model
     if n == 0:
         raise UsageError("attention needs at least one input token")
-    if d != config.d_model:
-        raise ShapeError(f"input width {d} does not match d_model {config.d_model}")
     params.validate(config)
     inputs = (x, params.wk, params.wq, params.wv, params.wa, params.ba)
+    if embed is None:
+        if c != d:
+            raise ShapeError(f"input width {c} does not match d_model {d}")
+    else:
+        w_e, b_e, pe = embed
+        if x.requires_grad:
+            raise UsageError("attend_batch embeds constant coordinates only")
+        if w_e.shape != (d, c) or b_e.shape != (d,) or np.shape(pe) != (n, d):
+            raise ShapeError(f"embedding {w_e.shape}, {b_e.shape}, {np.shape(pe)} does not map "
+                             f"({b}, {n}, {c}) coordinates to d_model {d}")
+        inputs += (w_e, b_e)
     ad._check_same_dtype("attend_batch", *inputs)
     h, dh, hw = config.n_heads, config.d_head, config.heads_width
     dtype = x.dtype.type
-    xs, wk, wq, wv, wa, ba = (t.data for t in inputs)
-    x2 = xs.reshape(-1, d)  # every projection is one 2-D GEMM over all B*N rows
+    xs, wk, wq, wv, wa, ba = (t.data for t in inputs[:6])
+    x2 = xs.reshape(-1, c)  # every projection is one 2-D GEMM over all B*N rows
+    if embed is None:
+        tokens = xs
+    else:
+        w_e = w_e.data
+        offset = b_e.data + pe.astype(dtype, copy=False)           # (N, d): b_e + pe per slot
+        tokens = (x2 @ w_e.T).reshape(b, n, d) + offset
 
     def split_heads(w: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-        # (B*N, H*dh) -> (B, N, H, dh), then heads ahead of tokens, materialised
-        return np.ascontiguousarray(np.transpose((x2 @ w.T).reshape(b, n, h, dh), axes))
+        if embed is None:
+            proj = (x2 @ w.T).reshape(b, n, h, dh)
+        else:  # (W·W_e)·x + W·(b_e + pe): a c-wide GEMM, then the per-slot offset
+            proj = (x2 @ (w @ w_e).T).reshape(b, n, hw)
+            proj += offset @ w.T
+            proj = proj.reshape(b, n, h, dh)
+        # (B, N, H, dh), then heads ahead of tokens, materialised
+        return np.ascontiguousarray(np.transpose(proj, axes))
 
     k_t = split_heads(wk, (0, 2, 3, 1))                        # (B, H, dh, N)
     q = split_heads(wq, (0, 2, 1, 3))                          # (B, H, N, dh)
@@ -185,32 +214,47 @@ def attend_batch(
         keep = ~np.concatenate([s.bernoulli((b // len(streams), n, d), rate) for s in streams])
         mask = keep.astype(dtype) / dtype(1.0 - rate)
     branch = y if mask is None else y * mask
-    out = Tensor(np.mean(xs + branch, axis=1))
+    out = Tensor(np.mean(tokens + branch, axis=1))
 
     def bwd(g):
         gu = np.repeat(np.expand_dims(g / n, 1), n, axis=1)   # token mean
         gy = gu if mask is None else gu * mask                 # dropout
         ga = inv * (gy - np.mean(gy, axis=-1, keepdims=True) - y * np.mean(gy * y, axis=-1, keepdims=True))
+        del gy
         ga = (ga * (pre > 0)).reshape(-1, d)                   # layer norm, then ReLU
         gwa, gba = ga.T @ ctx, ga.sum(axis=0)
         gc = np.transpose((ga @ wa).reshape(b, n, h, dh), (0, 2, 1, 3))   # (B, H, N, dh)
+        del ga
+        if embed is None:
+            gx = gu  # residual, then v, q, k: the summation order of tests/reference_ops.py
+        else:    # the residual's share of the embedding's gradients
+            gwe, goff = gu.reshape(-1, d).T @ x2, gu.sum(axis=0)
+        del gu
+
+        def through(gh, axes, w):
+            """One projection's gradient: into the block's input side, and returned for w."""
+            nonlocal gx, gwe, goff
+            g2 = np.transpose(gh, axes).reshape(-1, hw)        # heads back to (B*N, H*dh)
+            gw = g2.T @ x2
+            if embed is None:
+                gx += (g2 @ w).reshape(b, n, d)
+                return gw
+            s = g2.reshape(b, n, hw).sum(axis=0)               # per-slot row sums: W·(b_e + pe)'s gradient
+            gwe += w.T @ gw                                    # gw is (W·W_e)'s gradient here
+            goff += s @ w
+            return gw @ w_e.T + s.T @ offset
+
+        # one projection at a time, each gradient dropped once it is used
+        gwv = through(np.swapaxes(lam, -1, -2) @ gc, (0, 2, 1, 3), wv)
         glam = gc @ np.swapaxes(v, -1, -2)
-        gv = np.swapaxes(lam, -1, -2) @ gc
+        del gc
         gs = (glam - np.sum(glam * lam, axis=-1, keepdims=True)) * lam * f   # softmax, then scale
-        gq = gs @ np.swapaxes(k_t, -1, -2)
-        gk_t = np.swapaxes(q, -1, -2) @ gs
-
-        def unsplit(gh, axes, w):
-            # heads back to (B*N, H*dh), then through the projection
-            g2 = np.transpose(gh, axes).reshape(-1, hw)
-            return (g2 @ w).reshape(b, n, d), g2.T @ x2
-
-        gxv, gwv = unsplit(gv, (0, 2, 1, 3), wv)
-        gxq, gwq = unsplit(gq, (0, 2, 1, 3), wq)
-        gxk, gwk = unsplit(gk_t, (0, 3, 1, 2), wk)
-        gx = gu + gxv  # residual, then v, q, k: the summation order of tests/reference_ops.py
-        gx += gxq
-        gx += gxk
-        return gx, gwk, gwq, gwv, gwa, gba
+        del glam
+        gwq = through(gs @ np.swapaxes(k_t, -1, -2), (0, 2, 1, 3), wq)
+        gwk = through(np.swapaxes(q, -1, -2) @ gs, (0, 3, 1, 2), wk)
+        del gs
+        if embed is None:
+            return gx, gwk, gwq, gwv, gwa, gba
+        return None, gwk, gwq, gwv, gwa, gba, gwe, goff.sum(axis=0)
 
     return ad.record_op("attention", inputs, out, bwd)

@@ -2,9 +2,11 @@
 
 `forward` maps a batch of sampled sequences (B, T, J, 3) to (B, C) logits:
 
-1. every joint coordinate is linearly embedded to d_model,
+1. the joint coordinates are gathered into hand-part order, once,
 2. per frame, each of the 6 hand parts runs through the joint-level block
-   (weights shared across parts by default) to give a part feature,
+   (weights shared across parts by default) to give a part feature; the
+   block embeds the raw coordinates to d_model itself, folding the affine
+   embedding into its key/query/value projections (`attend_batch`'s `embed`),
 3. per frame, the 6 part features run through the finger-level block to
    give a hand feature,
 4. the 7 streams (6 parts + hand) each run through the temporal block over
@@ -13,8 +15,8 @@
 6. a fully connected layer maps the fused feature to class logits.
 
 Each site folds the batch into the leading axis of its `attend_batch`
-call. Sinusoid position embeddings are added before steps 2-5 using 1-based
-indices (joint slot within its part, part number, frame number, stream
+call. Sinusoid position embeddings are added to the tokens of steps 2-5
+(at step 2 by the block, along with the embedding) using 1-based indices (joint slot within its part, part number, frame number, stream
 number); each addition can be toggled off independently.
 """
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import io
 import json
+import operator
 import os
 import secrets
 import struct
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .attention import AttentionParams, attend_batch, init_attention_params, positional_embedding
+from .attention import AttentionParams, attend_batch, param_table, positional_embedding
 from .autodiff import Tensor
 from .config import HANConfig
 from .data import SkeletonSequence
@@ -46,6 +49,13 @@ class HANModel:
     """Parameter set for one configuration; see `parameters` for the registry."""
 
     def __init__(self, config: HANConfig, dtype=np.float32, seed: int = 0):
+        rng = Rng(seed, "init")
+        self._build(config, dtype, lambda name, shape, bound: rng.uniform(shape, -bound, bound) if bound
+                    else np.zeros(shape))
+
+    def _build(self, config: HANConfig, dtype, value) -> None:
+        """The one construction path: each parameter of `_parameter_table` is
+        `value(name, shape, bound)`, a seeded draw or the values of a file."""
         self.config = config
         self.dtype = np.dtype(dtype).type
         att = config.attention
@@ -53,40 +63,55 @@ class HANModel:
         max_pos = max(config.frames, STREAM_COUNT, max(len(p) for p in config.partition.parts), 6) + 1
         # sinusoid rows 0..max_pos-1, cast once; a site with N tokens adds rows 1..N
         self.pe = np.stack([positional_embedding(i, d) for i in range(max_pos)]).astype(self.dtype)
+        self._params = {name: ad.parameter(value(name, shape, bound), dtype=self.dtype)
+                        for name, shape, bound in _parameter_table(config)}
 
-        rng = Rng(seed, "init")
+        def blocks(prefix):
+            return [AttentionParams(**{f: self._params[f"{name}.{f}"] for f, _, _ in param_table(att)})
+                    for name in _block_names(config)[prefix]]
 
-        def draw_matrix(shape, bound):
-            return ad.parameter(rng.uniform(shape, -bound, bound), dtype=self.dtype)
-
-        def draw_block():
-            return init_attention_params(att, rng, dtype=self.dtype)
-
-        self.joint_w = draw_matrix((d, 3), 1.0 / np.sqrt(3))
-        self.joint_b = ad.parameter(np.zeros(d), dtype=self.dtype)
-        self.j_att = [draw_block() for _ in range(1 if config.share_j_att else 6)]
-        self.f_att = draw_block()
-        self.t_att = [draw_block() for _ in range(1 if config.share_t_att else STREAM_COUNT)]
-        self.fusion_att = draw_block()
-        # the head starts 10x smaller than the fan-in rule so the initial
-        # predictor is near-uniform and the first loss sits at log(class_count)
-        self.cls_w = draw_matrix((config.class_count, d), 0.1 / np.sqrt(d))
-        self.cls_b = ad.parameter(np.zeros(config.class_count), dtype=self.dtype)
+        self.joint_w, self.joint_b = self._params["joint.w"], self._params["joint.b"]
+        self.j_att = blocks("j_att")
+        self.f_att, = blocks("f_att")
+        self.t_att = blocks("t_att")
+        self.fusion_att, = blocks("fusion_att")
+        self.cls_w, self.cls_b = self._params["cls.w"], self._params["cls.b"]
 
     def j_att_for_part(self, part_idx: int) -> AttentionParams:
         return self.j_att[0] if self.config.share_j_att else self.j_att[part_idx]
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         """Every learnable tensor with a stable name, in a fixed order."""
-        out: list[tuple[str, Tensor]] = [("joint.w", self.joint_w), ("joint.b", self.joint_b)]
-        for prefix, blocks in (("j_att", self.j_att), ("f_att", [self.f_att]),
-                               ("t_att", self.t_att), ("fusion_att", [self.fusion_att])):
-            for i, blk in enumerate(blocks):
-                out += blk.named(prefix if len(blocks) == 1 else f"{prefix}.{i}")
-        return out + [("cls.w", self.cls_w), ("cls.b", self.cls_b)]
+        return list(self._params.items())
 
     def param_count(self) -> int:
         return sum(t.size for _, t in self.parameters())
+
+
+def _block_names(config: HANConfig) -> dict[str, list[str]]:
+    """Each site's attention blocks by name: one shared block, or one per part or stream."""
+    def names(prefix, count):
+        return [prefix] if count == 1 else [f"{prefix}.{i}" for i in range(count)]
+
+    return {"j_att": names("j_att", 1 if config.share_j_att else 6), "f_att": ["f_att"],
+            "t_att": names("t_att", 1 if config.share_t_att else STREAM_COUNT), "fusion_att": ["fusion_att"]}
+
+
+def _parameter_table(config: HANConfig) -> list[tuple[str, tuple[int, ...], float]]:
+    """Every learnable tensor's name, shape and uniform init bound, in registry order.
+
+    A bound of 0 starts the tensor at zero. The constructor draws by this
+    table and `load_checkpoint` reads by it; a count that is not an integer
+    raises TypeError.
+    """
+    d, c = config.attention.d_model, config.class_count
+    table = [("joint.w", (d, 3), 1.0 / np.sqrt(3)), ("joint.b", (d,), 0.0)]
+    for names in _block_names(config).values():
+        table += [(f"{name}.{f}", shape, bound) for name in names for f, shape, bound in param_table(config.attention)]
+    # the head starts 10x smaller than the fan-in rule so the initial
+    # predictor is near-uniform and the first loss sits at log(class_count)
+    table += [("cls.w", (c, d), 0.1 / np.sqrt(d)), ("cls.b", (c,), 0.0)]
+    return [(name, tuple(operator.index(n) for n in shape), bound) for name, shape, bound in table]
 
 
 def _batch_array(seqs, model: HANModel) -> np.ndarray:
@@ -113,21 +138,29 @@ def _batch_array(seqs, model: HANModel) -> np.ndarray:
     return frames
 
 
-def _attend_site(model, key, tokens, blocks, use_pe, training, rng, capture) -> Tensor:
+def _attend_site(model, key, tokens, blocks, use_pe, training, rng, capture, embed=False) -> Tensor:
     """Aggregate token groups (B, G, N, d) to (B, G, d): one call on (B*G, N, d)
     with one shared block, else one call on (B, N, d) per group's block. The
-    batch-major fold gives each sequence's dropout stream a contiguous share."""
+    batch-major fold gives each sequence's dropout stream a contiguous share.
+
+    With `embed`, the tokens are raw joint coordinates (B, G, N, 3) that the
+    block embeds itself, position rows included."""
     att = model.config.attention
-    b, g, n, d = tokens.shape
-    if use_pe:
-        tokens = ad.add(tokens, ad.constant(np.broadcast_to(model.pe[1:n + 1], tokens.shape).copy()))
+    b, g, n, c = tokens.shape
+    d = att.d_model
+    pe = model.pe[1:n + 1]
+    joint = None
+    if embed:  # the block adds the position rows along with the embedding
+        joint = (model.joint_w, model.joint_b, pe if use_pe else np.zeros_like(pe))
+    elif use_pe:
+        tokens = ad.add(tokens, ad.constant(np.broadcast_to(pe, tokens.shape).copy()))
     sink = [] if capture is not None else None
     if len(blocks) == 1:
-        out = attend_batch(ad.reshape(tokens, (b * g, n, d)), blocks[0], att, training, rng, sink)
+        out = attend_batch(ad.reshape(tokens, (b * g, n, c)), blocks[0], att, training, rng, sink, joint)
         out = ad.reshape(out, (b, g, d))
     else:
         out = ad.stack([
-            attend_batch(ad.reshape(ad.take(tokens, [i], axis=1), (b, n, d)), blk, att, training, rng, sink)
+            attend_batch(ad.reshape(ad.take(tokens, [i], axis=1), (b, n, c)), blk, att, training, rng, sink)
             for i, blk in enumerate(blocks)
         ], axis=1)
     if capture is not None:
@@ -153,19 +186,20 @@ def forward(seqs, model: HANModel, training: bool = False, rng: Rng | list[Rng] 
     """
     cfg = model.config
     frames = _batch_array(seqs, model)
-    b, t, j, _ = frames.shape
-    d = cfg.attention.d_model
+    b = len(frames)
     rng = [rng] if isinstance(rng, Rng) else rng
     if rng is not None and len(rng) != b:
         raise UsageError(f"forward got {len(rng)} dropout streams for {b} sequences")
-    coords = ad.constant(frames.reshape(b * t * j, 3))
-    embedded = ad.reshape(ad.linear(coords, model.joint_w, model.joint_b), (b, t, j, d))
+    parts = cfg.partition.parts
+    coords = frames[:, :, np.concatenate(parts)]                # one gather into partition order
 
     part_feats = []                                             # 6 x (B, T, d)
-    for p_idx, part in enumerate(cfg.partition.parts):
-        tokens = ad.take(embedded, list(part), axis=2)          # (B, T, n_p, d)
+    start = 0
+    for p_idx, part in enumerate(parts):
+        tokens = ad.constant(coords[:, :, start:start + len(part)])   # (B, T, n_p, 3)
+        start += len(part)
         part_feats.append(_attend_site(model, ("J", p_idx), tokens, [model.j_att_for_part(p_idx)],
-                                       cfg.pe_j, training, rng, capture))
+                                       cfg.pe_j, training, rng, capture, embed=True))
     hand_in = ad.stack(part_feats, axis=2)                      # (B, T, 6, d)
     hand = _attend_site(model, ("F",), hand_in, [model.f_att], cfg.pe_f, training, rng, capture)
     streams = ad.stack(part_feats + [hand], axis=1)             # (B, 7, T, d)
@@ -322,15 +356,14 @@ def load_checkpoint(path: str) -> HANModel:
         raise CheckpointError(f"{path}: tensor dtype {dtype_name!r} is not one of {', '.join(_DTYPES)}")
     dtype = np.dtype(dtype_name)
 
-    try:  # the seeded weights are placeholders: every tensor is overwritten below
-        model = HANModel(config, dtype=dtype)
-    except TypeError as exc:  # a fractional count, which the config checks let through
+    try:  # a fractional count, which the config checks let through
+        expected = {name: shape for name, shape, _ in _parameter_table(config)}
+    except TypeError as exc:
         raise CheckpointError(f"{path}: invalid checkpoint config: {exc}") from exc
-    expected = dict(model.parameters())
     (count,) = struct.unpack("<I", read_exact(4, "tensor count"))
     if count != len(expected):
         raise CheckpointError(f"{path}: checkpoint has {count} tensors, config implies {len(expected)}")
-    seen: set[str] = set()
+    tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", read_exact(2, "name length"))
         try:
@@ -339,14 +372,12 @@ def load_checkpoint(path: str) -> HANModel:
             raise CheckpointError(f"{path}: tensor name is not UTF-8 ({exc.reason})") from exc
         if name not in expected:
             raise CheckpointError(f"{path}: unexpected tensor '{name}' for this config")
-        if name in seen:
+        if name in tensors:
             raise CheckpointError(f"{path}: tensor '{name}' appears twice")
-        seen.add(name)
         (ndim,) = struct.unpack("<B", read_exact(1, "ndim"))
         dims = tuple(struct.unpack("<I", read_exact(4, "dim"))[0] for _ in range(ndim))
-        target = expected[name]
-        if dims != target.shape:
-            raise CheckpointError(f"{path}: tensor '{name}' has shape {dims}, config implies {target.shape}")
+        if dims != expected[name]:
+            raise CheckpointError(f"{path}: tensor '{name}' has shape {dims}, config implies {expected[name]}")
         (nbytes,) = struct.unpack("<Q", read_exact(8, "payload length"))
         want_bytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
         if nbytes != want_bytes:
@@ -355,8 +386,13 @@ def load_checkpoint(path: str) -> HANModel:
         values = np.frombuffer(raw, dtype=dtype.newbyteorder("<")).astype(dtype)
         if not np.all(np.isfinite(values)):
             raise CheckpointError(f"{path}: tensor '{name}' holds non-finite values")
-        target.data = np.ascontiguousarray(values.reshape(dims))
+        tensors[name] = values.reshape(dims)
     trailing = len(blob) - buf.tell()
     if trailing:
         raise CheckpointError(f"{path}: {trailing} trailing bytes after the last tensor")
+    model = HANModel.__new__(HANModel)
+    try:
+        model._build(config, dtype, lambda name, shape, bound: tensors[name])
+    except TypeError as exc:  # a fractional frame count, met by the position table
+        raise CheckpointError(f"{path}: invalid checkpoint config: {exc}") from exc
     return model

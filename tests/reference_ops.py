@@ -5,6 +5,9 @@ backward. `attend_batch_reference` below is the same block composed from
 21 small differentiable ops, each with its own textbook backward; the tests
 require the fused op to match it bit for bit, output and gradients. The ops
 keep their own unit tests in `test_autodiff.py`.
+
+`forward_reference` is `han.model.forward` with the joint embedding as its
+own tape ops, ahead of the joint-level block, rather than folded into it.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from han import autodiff as ad
 from han.attention import AttentionConfig, AttentionParams
 from han.autodiff import Tensor, _check_axis, _check_same_dtype, record_op
 from han.errors import ConfigError, ShapeError, UsageError
+from han.model import HANModel, _attend_site, _batch_array, _fusion_stage
 from han.rng import Rng
 
 
@@ -199,3 +203,28 @@ def attend_batch_reference(
     updated = ad.add(x, branch)
     return mean(updated, axis=1)
 
+
+def forward_reference(seqs, model: HANModel, training: bool = False, rng: Rng | list[Rng] | None = None,
+                      capture: dict | None = None) -> Tensor:
+    """`han.model.forward` with the unfolded joint site: every coordinate embedded by
+    one `ad.linear`, each part gathered by `ad.take`, its position rows added, then
+    `attend_batch` on d_model-wide tokens. The levels above the joints are the same."""
+    cfg = model.config
+    frames = _batch_array(seqs, model)
+    b, t, j, _ = frames.shape
+    d = cfg.attention.d_model
+    rng = [rng] if isinstance(rng, Rng) else rng
+    coords = ad.constant(frames.reshape(b * t * j, 3))
+    embedded = ad.reshape(ad.linear(coords, model.joint_w, model.joint_b), (b, t, j, d))
+
+    part_feats = []
+    for p_idx, part in enumerate(cfg.partition.parts):
+        tokens = ad.take(embedded, list(part), axis=2)          # (B, T, n_p, d)
+        part_feats.append(_attend_site(model, ("J", p_idx), tokens, [model.j_att_for_part(p_idx)],
+                                       cfg.pe_j, training, rng, capture))
+    hand_in = ad.stack(part_feats, axis=2)
+    hand = _attend_site(model, ("F",), hand_in, [model.f_att], cfg.pe_f, training, rng, capture)
+    streams = ad.stack(part_feats + [hand], axis=1)
+    stream_feats = _attend_site(model, ("T",), streams, model.t_att, cfg.pe_t, training, rng, capture)
+    fused = _fusion_stage(model, stream_feats, training, rng, capture)
+    return ad.linear(fused, model.cls_w, model.cls_b)

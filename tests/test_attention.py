@@ -288,6 +288,54 @@ class TestFusedBlock:
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+class TestEmbed:
+    """`embed=(w_e, b_e, pe)`: the block embeds raw coordinates itself."""
+
+    def make(self, dropout=0.3):
+        config = small_config(n_heads=3, d_head=2, dropout_rate=dropout)
+        rs = np.random.RandomState(84)
+        coords = ad.constant(rs.uniform(-1, 1, (4, 5, 3)), dtype=np.float64)
+        w_e = ad.parameter(rs.uniform(-1, 1, (config.d_model, 3)), dtype=np.float64)
+        b_e = ad.parameter(rs.uniform(-1, 1, config.d_model), dtype=np.float64)
+        pe = rs.uniform(-1, 1, (5, config.d_model))
+        return config, make_params(config, seed=32), coords, w_e, b_e, pe
+
+    def run(self, folded, config, params, coords, w_e, b_e, pe):
+        weights = np.random.RandomState(85).uniform(-1, 1, (1, 4 * config.d_model))
+        streams = [Rng(6, f"dropout/0/{i}") for i in range(2)]
+        with GradientTape() as tape:
+            if folded:
+                out = attend_batch(coords, params, config, True, streams, embed=(w_e, b_e, pe))
+            else:  # embed, add the position rows, then the block on d_model-wide tokens
+                tokens = ad.add(ad.linear(coords, w_e, b_e), ad.constant(np.broadcast_to(pe, (4, 5, config.d_model))))
+                out = attend_batch(tokens, params, config, True, streams)
+            records = len(tape)
+            backward(block_loss(out, weights), tape)
+        result = [out.data.copy()] + [t.grad.copy() for t in [w_e, b_e] + [t for _, t in params.named("blk")]]
+        tape.reset()
+        return records, result
+
+    def test_matches_embedding_then_block(self):
+        setup = self.make()
+        records, got = self.run(True, *setup)
+        _, want = self.run(False, *setup)
+        assert records == 1
+        for a, b in zip(got, want):
+            assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
+    def test_coordinates_must_be_constant(self):
+        config, params, coords, w_e, b_e, pe = self.make()
+        with pytest.raises(UsageError, match="constant coordinates"):
+            attend_batch(ad.parameter(coords.data), params, config, embed=(w_e, b_e, pe))
+
+    def test_embedding_shapes_checked(self):
+        config, params, coords, w_e, b_e, pe = self.make()
+        with pytest.raises(ShapeError, match="embedding"):
+            attend_batch(coords, params, config, embed=(w_e, b_e, pe[:4]))
+        with pytest.raises(ShapeError, match="embedding"):
+            attend_batch(ad.constant(coords.data[..., :2]), params, config, embed=(w_e, b_e, pe))
+
+
 class TestBlockDropout:
     def make(self, rate=0.3):
         config = small_config(dropout_rate=rate)

@@ -7,7 +7,7 @@ import pytest
 
 from han.attention import AttentionConfig, positional_embedding
 from han.autodiff import GradientTape, backward
-from han.data import HandPartition
+from han.data import FPHA21, SHREC22, HandPartition
 from han.errors import CheckpointError, ConfigError, DataError, UsageError
 from han.model import (
     HANConfig,
@@ -23,6 +23,7 @@ from han.train import cross_entropy
 
 from conftest import MIXED_PARTITION, TOY_PARTITION, tiny_config
 from oracles import central_difference, max_relative_error, scalar_tiny_model_reference
+from reference_ops import forward_reference
 
 RS = np.random.RandomState(31)
 
@@ -233,6 +234,61 @@ class TestGradients:
             got = p.grad if p.grad is not None else np.zeros_like(p.data)
             want = central_difference(loss_value, p.data)
             assert max_relative_error(got, want) < 1e-4, f"gradient mismatch for {name}"
+
+
+class TestFoldedJointEmbedding:
+    """The J block embeds raw coordinates itself (`attend_batch(..., embed=...)`);
+    it must compute what the unfolded composition of `forward_reference` does."""
+
+    @staticmethod
+    def run(fn, model, frames, training):
+        rng = [Rng(3, f"dropout/0/{i}") for i in range(len(frames))] if training else None
+        capture: dict = {}
+        with GradientTape() as tape:
+            logits = fn(frames, model, training=training, rng=rng, capture=capture)
+            loss = cross_entropy(logits, [1, 4])
+        backward(loss, tape)
+        grads = {name: p.grad for name, p in model.parameters()}
+        tape.reset()
+        return logits.data, grads, capture
+
+    @staticmethod
+    def assert_close(got, want, what):
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), what
+
+    @pytest.mark.parametrize("partition", [SHREC22, FPHA21], ids=["shrec22", "fpha21"])
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "unshared"])
+    @pytest.mark.parametrize("pe_j", [True, False], ids=["pe_j", "no_pe_j"])
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "dropout"])
+    def test_matches_unfolded_reference(self, partition, shared, pe_j, training):
+        config = HANConfig(attention=AttentionConfig(dropout_rate=0.1), partition=partition,
+                           share_j_att=shared, share_t_att=shared, pe_j=pe_j)
+        model = HANModel(config, seed=23, dtype=np.float64)
+        frames = np.random.RandomState(61).uniform(-1, 1, (2, config.frames, partition.joint_count, 3))
+        logits, grads, maps = self.run(forward, model, frames, training)
+        want_logits, want_grads, want_maps = self.run(forward_reference, model, frames, training)
+        self.assert_close(logits, want_logits, "logits")
+        for name, want in want_grads.items():
+            self.assert_close(grads[name], want, name)
+        assert maps.keys() == want_maps.keys()
+        for p in range(6):
+            self.assert_close(maps[("J", p)], want_maps[("J", p)], f"J part {p} attention")
+
+    def test_embedding_gradients_match_central_differences(self):
+        config = tiny_config(dropout=0.1, frames=3, partition=MIXED_PARTITION)
+        model = HANModel(config, seed=29, dtype=np.float64)
+        frames = np.random.RandomState(62).uniform(-1, 1, (2, 3, 8, 3))
+
+        def loss():
+            rng = [Rng(4, f"dropout/0/{i}") for i in range(2)]
+            return cross_entropy(forward(frames, model, training=True, rng=rng), [0, 3])
+
+        with GradientTape() as tape:
+            value = loss()
+        backward(value, tape)
+        for name, p in (("joint.w", model.joint_w), ("joint.b", model.joint_b)):
+            want = central_difference(lambda: loss().item(), p.data)
+            assert max_relative_error(p.grad, want) < 1e-6, name
 
 
 class TestBatchGrouping:
@@ -514,9 +570,10 @@ class TestCheckpointRejects:
 
 
 class TestTapeSize:
-    """Every attention call is one tape record, so a step's tape stays short."""
+    """Every attention call is one tape record, and the joint embedding is part of
+    the J site's record, so a step's tape stays short."""
 
-    @pytest.mark.parametrize("shared, most", [(True, 50), (False, 69)])
+    @pytest.mark.parametrize("shared, most", [(True, 30), (False, 49)])
     def test_training_forward_and_loss_at_default_geometry(self, shared, most):
         model = HANModel(HANConfig(share_j_att=shared, share_t_att=shared), seed=2)
         frames = np.random.RandomState(48).uniform(-1, 1, (3, 8, 22, 3))
