@@ -1,9 +1,9 @@
 """The reusable self-attention block that aggregates a token group to one vector.
 
 `attend_batch`, the one entry point, maps each of B groups of N input
-vectors (which already carry their position embeddings) to a single
-d_model feature:
+vectors to a single d_model feature:
 
+0. add the site's position rows to the tokens, when given,
 1. project each token to per-head key/query/value vectors,
 2. attention weights: softmax over j of (Q_i . K_j) / sqrt(d_head),
 3. per-head weighted sum of values,
@@ -11,9 +11,9 @@ d_model feature:
 5. token update: input + Drop(Norm(ReLU(W_a . concat + b_a))),
 6. mean over the N updated tokens.
 
-Position embeddings are added by the caller. The joint site is the one
-exception: it passes raw coordinates with `embed`, and the block applies
-the joint embedding and its position rows itself (see `attend_batch`).
+The block is the one place that adds position rows (`pe`). The joint site
+passes raw coordinates with `embed`, and the block applies the joint
+embedding itself, folded into its projections (see `attend_batch`).
 """
 
 from __future__ import annotations
@@ -95,14 +95,6 @@ def param_table(config: AttentionConfig) -> list[tuple[str, tuple[int, ...], flo
             ("wa", (d, hw), fan_hw), ("ba", (d,), 0.0)]
 
 
-def init_attention_params(config: AttentionConfig, rng: Rng, dtype=np.float32) -> AttentionParams:
-    """One block drawn from `rng` by the bounds of `param_table`."""
-    return AttentionParams(**{
-        name: ad.parameter(rng.uniform(shape, -bound, bound) if bound else np.zeros(shape), dtype=dtype)
-        for name, shape, bound in param_table(config)
-    })
-
-
 def positional_embedding(position: int, d_model: int) -> np.ndarray:
     """Sinusoid vector for one index: channel 2k is sin(pos / 10000^(2k/d)), 2k+1 the cosine."""
     if position < 0:
@@ -122,7 +114,8 @@ def attend_batch(
     training: bool = False,
     rng: Rng | list[Rng] | None = None,
     weights_out: list | None = None,
-    embed: tuple[Tensor, Tensor, np.ndarray] | None = None,
+    pe: np.ndarray | None = None,
+    embed: tuple[Tensor, Tensor] | None = None,
 ) -> Tensor:
     """Run the block on a batch of token groups: (B, N, d_model) -> (B, d_model).
 
@@ -136,12 +129,14 @@ def attend_batch(
     When `weights_out` is a list, the per-head attention weights are appended
     to it as a (B, n_heads, N, N) array (detached from the tape).
 
-    With `embed=(w_e, b_e, pe)`, `x` holds constant raw coordinates (B, N, c)
+    `pe` holds constant position rows (N, d_model), one per token slot; every
+    group's token n becomes x_n + pe[n] before the projections.
+
+    With `embed=(w_e, b_e)`, `x` holds constant raw coordinates (B, N, c)
     and the block embeds them itself: token n is W_e·x_n + b_e + pe[n], with
-    w_e (d_model, c), b_e (d_model,) and the constant pe (N, d_model). The
-    embedding is affine, so K/Q/V come from the c-wide rows as
-    (W·W_e)·x_n + W·(b_e + pe[n]), and w_e and b_e get their gradients from
-    this record.
+    w_e (d_model, c) and b_e (d_model,). The embedding is affine, so K/Q/V
+    come from the c-wide rows as (W·W_e)·x_n + W·(b_e + pe[n]), and w_e and
+    b_e get their gradients from this record.
     """
     if x.ndim != 3:
         raise ShapeError(f"attend_batch needs (B, N, d_model), got {x.shape}")
@@ -150,28 +145,32 @@ def attend_batch(
     if n == 0:
         raise UsageError("attention needs at least one input token")
     params.validate(config)
+    if pe is not None and np.shape(pe) != (n, d):
+        raise ShapeError(f"position rows {np.shape(pe)} do not match {n} tokens of d_model {d}")
     inputs = (x, params.wk, params.wq, params.wv, params.wa, params.ba)
     if embed is None:
         if c != d:
             raise ShapeError(f"input width {c} does not match d_model {d}")
     else:
-        w_e, b_e, pe = embed
+        w_e, b_e = embed
         if x.requires_grad:
             raise UsageError("attend_batch embeds constant coordinates only")
-        if w_e.shape != (d, c) or b_e.shape != (d,) or np.shape(pe) != (n, d):
-            raise ShapeError(f"embedding {w_e.shape}, {b_e.shape}, {np.shape(pe)} does not map "
+        if w_e.shape != (d, c) or b_e.shape != (d,):
+            raise ShapeError(f"embedding {w_e.shape}, {b_e.shape} does not map "
                              f"({b}, {n}, {c}) coordinates to d_model {d}")
         inputs += (w_e, b_e)
     ad._check_same_dtype("attend_batch", *inputs)
     h, dh, hw = config.n_heads, config.d_head, config.heads_width
     dtype = x.dtype.type
+    rows = None if pe is None else np.asarray(pe, dtype=dtype)
     xs, wk, wq, wv, wa, ba = (t.data for t in inputs[:6])
-    x2 = xs.reshape(-1, c)  # every projection is one 2-D GEMM over all B*N rows
     if embed is None:
-        tokens = xs
+        tokens = xs if rows is None else xs + rows             # x + pe, as tests/reference_ops.py adds them
+        x2 = tokens.reshape(-1, c)  # every projection is one 2-D GEMM over all B*N rows
     else:
+        x2 = xs.reshape(-1, c)
         w_e = w_e.data
-        offset = b_e.data + pe.astype(dtype, copy=False)           # (N, d): b_e + pe per slot
+        offset = b_e.data + (np.zeros((n, d), dtype) if rows is None else rows)   # (N, d): b_e + pe per slot
         tokens = (x2 @ w_e.T).reshape(b, n, d) + offset
 
     def split_heads(w: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:

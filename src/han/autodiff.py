@@ -147,9 +147,9 @@ def backward(loss: Tensor, tape: GradientTape) -> None:
     its record has run: only the tape's leaves keep a gradient.
 
     A first gradient is kept as given and later ones are added out of place,
-    because one array may reach several tensors (`add` hands out the same
-    array twice, `reshape` and `stack` hand out views) or stay held by a
-    backward closure; backward never writes into a gradient array.
+    because one array may reach several tensors (`reshape` and `stack` hand
+    out views, and a custom op may return one array for two inputs) or stay
+    held by a backward closure; backward never writes into a gradient array.
     """
     if loss.size != 1:
         raise UsageError(f"backward() needs a scalar loss, got shape {loss.shape}")
@@ -212,19 +212,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return record_op("linear", inputs, out, bwd)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two equally shaped tensors."""
-    _check_same_dtype("add", a, b)
-    if a.shape != b.shape:
-        raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    out = Tensor(a.data + b.data)
-
-    def bwd(g):
-        return g, g
-
-    return record_op("add", (a, b), out, bwd)
-
-
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = Tensor(x.data.reshape(shape))
 
@@ -232,28 +219,6 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
         return (g.reshape(x.data.shape),)
 
     return record_op("reshape", (x,), out, bwd)
-
-
-def take(x: Tensor, indices, axis: int) -> Tensor:
-    """Gather the given indices along `axis`; duplicates allowed."""
-    _check_axis(x, axis)
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError(f"take needs a flat index list, got shape {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[axis]):
-        raise ShapeError(f"take indices out of range for axis {axis} of shape {x.shape}")
-    out = Tensor(np.take(x.data, idx, axis=axis))
-
-    def bwd(g):
-        gx = np.zeros_like(x.data)
-        loc = (slice(None),) * (axis % x.ndim) + (idx,)
-        if np.unique(idx).size == idx.size:
-            gx[loc] += g  # one write per index: far cheaper than np.add.at
-        else:
-            np.add.at(gx, loc, g)
-        return (gx,)
-
-    return record_op("take", (x,), out, bwd)
 
 
 def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -271,9 +236,3 @@ def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
         return tuple(pieces[i] for i in range(len(tensors)))
 
     return record_op("stack", tuple(tensors), out, bwd)
-
-
-def _check_axis(x: Tensor, axis: int) -> None:
-    if not -x.ndim <= axis < x.ndim:
-        raise ShapeError(f"axis {axis} invalid for shape {x.shape}")
-

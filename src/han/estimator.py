@@ -13,8 +13,8 @@ import inspect
 import numpy as np
 
 from .config import ALIASES, DEFAULTS, build_configs
-from .data import SkeletonSequence, uniform_sample
-from .errors import UsageError
+from .data import uniform_sample
+from .errors import DataError, UsageError
 from .model import HANModel, probabilities
 from .train import TrainResult, train_loop
 from .validation import as_label_array, as_sequence_list
@@ -77,18 +77,16 @@ class HANClassifier:
         return self
 
     def fit(self, X, y) -> "HANClassifier":
-        arrays = as_sequence_list(X)
-        labels = as_label_array(y, len(arrays))
+        seqs = as_sequence_list(X)
+        labels = as_label_array(y, len(seqs))
         self.classes_ = np.unique(labels)
         if self.classes_.size < 2:
             raise UsageError("fit needs at least 2 distinct classes")
         index_of = {label: i for i, label in enumerate(self.classes_.tolist())}
-        seqs = [
-            SkeletonSequence(frames=a, label=index_of[int(lbl)])
-            for a, lbl in zip(arrays, labels)
-        ]
+        for seq, label in zip(seqs, labels):
+            seq.label = index_of[int(label)]
         config, train_config = build_configs(
-            dict(self.get_params(), classes=len(self.classes_), joints=arrays[0].shape[1])
+            dict(self.get_params(), classes=len(self.classes_), joints=seqs[0].joint_count)
         )
         model = HANModel(config, seed=train_config.seed)
         result: TrainResult = train_loop(seqs, [], model, train_config)
@@ -101,19 +99,23 @@ class HANClassifier:
             raise UsageError("this HANClassifier instance is not fitted yet; call fit first")
 
     def predict_proba(self, X) -> np.ndarray:
+        """Class probabilities (n, classes); a row whose forward overflows is not finite."""
         self._check_fitted()
         config = self.model_.config
-        arrays = as_sequence_list(X, joint_count=config.joint_count)
-        sampled = [uniform_sample(SkeletonSequence(frames=arr, label=0), config.frames) for arr in arrays]
-        return probabilities(sampled, self.model_)
+        seqs = as_sequence_list(X, joint_count=config.joint_count)
+        return probabilities([uniform_sample(seq, config.frames) for seq in seqs], self.model_)
 
     def predict(self, X) -> np.ndarray:
+        """Labels of X; raises DataError naming the first row whose probabilities are not finite."""
         probs = self.predict_proba(X)
+        bad = np.flatnonzero(~np.isfinite(probs).all(axis=1))
+        if bad.size:
+            raise DataError(f"X[{bad[0]}]: the forward overflows, so its class probabilities are not finite")
         return self.classes_[np.argmax(probs, axis=1)]
 
     def score(self, X, y) -> float:
-        labels = as_label_array(y, len(as_sequence_list(X)))
-        return float(np.mean(self.predict(X) == labels))
+        preds = self.predict(X)
+        return float(np.mean(preds == as_label_array(y, len(preds))))
 
     def __repr__(self) -> str:
         return f"HANClassifier(d_model={self.d_model}, n_heads={self.n_heads}, frames={self.frames})"

@@ -15,9 +15,10 @@
 6. a fully connected layer maps the fused feature to class logits.
 
 Each site folds the batch into the leading axis of its `attend_batch`
-call. Sinusoid position embeddings are added to the tokens of steps 2-5
-(at step 2 by the block, along with the embedding) using 1-based indices (joint slot within its part, part number, frame number, stream
-number); each addition can be toggled off independently.
+call. Sinusoid position embeddings are added to the tokens of steps 2-5 by
+the block (`attend_batch`'s `pe`) using 1-based indices (joint slot within
+its part, part number, frame number, stream number); each addition can be
+toggled off independently.
 """
 
 from __future__ import annotations
@@ -138,31 +139,29 @@ def _batch_array(seqs, model: HANModel) -> np.ndarray:
     return frames
 
 
-def _attend_site(model, key, tokens, blocks, use_pe, training, rng, capture, embed=False) -> Tensor:
-    """Aggregate token groups (B, G, N, d) to (B, G, d): one call on (B*G, N, d)
-    with one shared block, else one call on (B, N, d) per group's block. The
-    batch-major fold gives each sequence's dropout stream a contiguous share.
+def _attend_site(model, key, groups, blocks, use_pe, training, rng, capture, embed=None) -> Tensor:
+    """Aggregate token groups to (B, G, d). `groups` is one (B, G, N, c) tensor
+    for one shared block, run as one call on (B*G, N, c), or a list of G
+    (B, N, c) tensors, one call each with its own block. The batch-major fold
+    gives each sequence's dropout stream a contiguous share.
 
-    With `embed`, the tokens are raw joint coordinates (B, G, N, 3) that the
-    block embeds itself, position rows included."""
+    Each call adds the site's position rows 1..N when `use_pe`; `embed` passes
+    the joint embedding to the block, whose tokens are then raw coordinates."""
     att = model.config.attention
-    b, g, n, c = tokens.shape
-    d = att.d_model
-    pe = model.pe[1:n + 1]
-    joint = None
-    if embed:  # the block adds the position rows along with the embedding
-        joint = (model.joint_w, model.joint_b, pe if use_pe else np.zeros_like(pe))
-    elif use_pe:
-        tokens = ad.add(tokens, ad.constant(np.broadcast_to(pe, tokens.shape).copy()))
-    sink = [] if capture is not None else None
-    if len(blocks) == 1:
-        out = attend_batch(ad.reshape(tokens, (b * g, n, c)), blocks[0], att, training, rng, sink, joint)
-        out = ad.reshape(out, (b, g, d))
+    if isinstance(groups, list):
+        (b, n, c), g = groups[0].shape, len(groups)
     else:
-        out = ad.stack([
-            attend_batch(ad.reshape(ad.take(tokens, [i], axis=1), (b, n, c)), blk, att, training, rng, sink)
-            for i, blk in enumerate(blocks)
-        ], axis=1)
+        b, g, n, c = groups.shape
+    pe = model.pe[1:n + 1] if use_pe else None
+    sink = [] if capture is not None else None
+
+    def attend(x, block):
+        return attend_batch(x, block, att, training, rng, sink, pe, embed)
+
+    if isinstance(groups, list):
+        out = ad.stack([attend(x, blk) for x, blk in zip(groups, blocks)], axis=1)
+    else:
+        out = ad.reshape(attend(ad.reshape(groups, (b * g, n, c)), blocks[0]), (b, g, att.d_model))
     if capture is not None:
         capture[key] = np.stack(sink, axis=1).reshape(b, g, att.n_heads, n, n)
     return out
@@ -199,10 +198,12 @@ def forward(seqs, model: HANModel, training: bool = False, rng: Rng | list[Rng] 
         tokens = ad.constant(coords[:, :, start:start + len(part)])   # (B, T, n_p, 3)
         start += len(part)
         part_feats.append(_attend_site(model, ("J", p_idx), tokens, [model.j_att_for_part(p_idx)],
-                                       cfg.pe_j, training, rng, capture, embed=True))
+                                       cfg.pe_j, training, rng, capture, (model.joint_w, model.joint_b)))
     hand_in = ad.stack(part_feats, axis=2)                      # (B, T, 6, d)
     hand = _attend_site(model, ("F",), hand_in, [model.f_att], cfg.pe_f, training, rng, capture)
-    streams = ad.stack(part_feats + [hand], axis=1)             # (B, 7, T, d)
+    streams = part_feats + [hand]                               # 7 x (B, T, d), one block each
+    if cfg.share_t_att:
+        streams = ad.stack(streams, axis=1)                     # (B, 7, T, d) for the one shared block
     stream_feats = _attend_site(model, ("T",), streams, model.t_att, cfg.pe_t, training, rng, capture)
     fused = _fusion_stage(model, stream_feats, training, rng, capture)
     return ad.linear(fused, model.cls_w, model.cls_b)

@@ -8,10 +8,11 @@ from .data import SkeletonSequence
 from .errors import DataError, UsageError
 
 
-def as_sequence_list(X, joint_count: int | None = None) -> list[np.ndarray]:
-    """Coerce X to a list of (T_i, J, 3) float arrays with a common J.
+def as_sequence_list(X, joint_count: int | None = None) -> list[SkeletonSequence]:
+    """Validate X once, as new label-0 sequences of (T_i, J, 3) frames with a common J.
 
     Accepts a list of arrays/SkeletonSequences or a single (n, T, J, 3) array.
+    The sequences are the caller's own: setting a label changes nothing in X.
     """
     if isinstance(X, np.ndarray) and X.ndim == 4:
         items = [X[i] for i in range(X.shape[0])]
@@ -24,15 +25,15 @@ def as_sequence_list(X, joint_count: int | None = None) -> list[np.ndarray]:
     out = []
     for i, item in enumerate(items):
         try:
-            seq = item if isinstance(item, SkeletonSequence) else SkeletonSequence(frames=item, label=0)
+            frames = item.frames if isinstance(item, SkeletonSequence) else item
+            out.append(SkeletonSequence(frames=frames, label=0))
         except DataError as exc:
             raise UsageError(f"X[{i}]: {exc}") from exc
-        out.append(seq.frames)
-    joints = {a.shape[1] for a in out}
+    joints = {s.joint_count for s in out}
     if len(joints) > 1:
         raise UsageError(f"sequences disagree on joint count: {sorted(joints)}")
-    if joint_count is not None and out[0].shape[1] != joint_count:
-        raise UsageError(f"expected {joint_count} joints, got {out[0].shape[1]}")
+    if joint_count is not None and out[0].joint_count != joint_count:
+        raise UsageError(f"expected {joint_count} joints, got {out[0].joint_count}")
     return out
 
 

@@ -7,7 +7,8 @@ require the fused op to match it bit for bit, output and gradients. The ops
 keep their own unit tests in `test_autodiff.py`.
 
 `forward_reference` is `han.model.forward` with the joint embedding as its
-own tape ops, ahead of the joint-level block, rather than folded into it.
+own tape ops (`linear`, then one `take` per part), ahead of the joint-level
+block, rather than folded into it.
 """
 
 from __future__ import annotations
@@ -18,10 +19,50 @@ import numpy as np
 
 from han import autodiff as ad
 from han.attention import AttentionConfig, AttentionParams
-from han.autodiff import Tensor, _check_axis, _check_same_dtype, record_op
+from han.autodiff import Tensor, _check_same_dtype, record_op
 from han.errors import ConfigError, ShapeError, UsageError
 from han.model import HANModel, _attend_site, _batch_array, _fusion_stage
 from han.rng import Rng
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of two equally shaped tensors."""
+    _check_same_dtype("add", a, b)
+    if a.shape != b.shape:
+        raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
+    out = Tensor(a.data + b.data)
+
+    def bwd(g):
+        return g, g
+
+    return record_op("add", (a, b), out, bwd)
+
+
+def take(x: Tensor, indices, axis: int) -> Tensor:
+    """Gather the given indices along `axis`; duplicates allowed."""
+    _check_axis(x, axis)
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.ndim != 1:
+        raise ShapeError(f"take needs a flat index list, got shape {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[axis]):
+        raise ShapeError(f"take indices out of range for axis {axis} of shape {x.shape}")
+    out = Tensor(np.take(x.data, idx, axis=axis))
+
+    def bwd(g):
+        gx = np.zeros_like(x.data)
+        loc = (slice(None),) * (axis % x.ndim) + (idx,)
+        if np.unique(idx).size == idx.size:
+            gx[loc] += g  # one write per index: far cheaper than np.add.at
+        else:
+            np.add.at(gx, loc, g)
+        return (gx,)
+
+    return record_op("take", (x,), out, bwd)
+
+
+def _check_axis(x: Tensor, axis: int) -> None:
+    if not -x.ndim <= axis < x.ndim:
+        raise ShapeError(f"axis {axis} invalid for shape {x.shape}")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -200,15 +241,15 @@ def attend_batch_reference(
     branch = relu(branch)
     branch = layer_norm(branch, axis=-1)
     branch = dropout(branch, config.dropout_rate, training, rng)
-    updated = ad.add(x, branch)
+    updated = add(x, branch)
     return mean(updated, axis=1)
 
 
 def forward_reference(seqs, model: HANModel, training: bool = False, rng: Rng | list[Rng] | None = None,
                       capture: dict | None = None) -> Tensor:
     """`han.model.forward` with the unfolded joint site: every coordinate embedded by
-    one `ad.linear`, each part gathered by `ad.take`, its position rows added, then
-    `attend_batch` on d_model-wide tokens. The levels above the joints are the same."""
+    one `ad.linear`, each part gathered by `take`, then `attend_batch` on d_model-wide
+    tokens plus their position rows. The levels above the joints are the same."""
     cfg = model.config
     frames = _batch_array(seqs, model)
     b, t, j, _ = frames.shape
@@ -219,12 +260,14 @@ def forward_reference(seqs, model: HANModel, training: bool = False, rng: Rng | 
 
     part_feats = []
     for p_idx, part in enumerate(cfg.partition.parts):
-        tokens = ad.take(embedded, list(part), axis=2)          # (B, T, n_p, d)
+        tokens = take(embedded, list(part), axis=2)             # (B, T, n_p, d)
         part_feats.append(_attend_site(model, ("J", p_idx), tokens, [model.j_att_for_part(p_idx)],
                                        cfg.pe_j, training, rng, capture))
     hand_in = ad.stack(part_feats, axis=2)
     hand = _attend_site(model, ("F",), hand_in, [model.f_att], cfg.pe_f, training, rng, capture)
-    streams = ad.stack(part_feats + [hand], axis=1)
+    streams = part_feats + [hand]
+    if cfg.share_t_att:
+        streams = ad.stack(streams, axis=1)
     stream_feats = _attend_site(model, ("T",), streams, model.t_att, cfg.pe_t, training, rng, capture)
     fused = _fusion_stage(model, stream_feats, training, rng, capture)
     return ad.linear(fused, model.cls_w, model.cls_b)

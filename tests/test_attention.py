@@ -8,7 +8,7 @@ from han.attention import (
     AttentionConfig,
     AttentionParams,
     attend_batch,
-    init_attention_params,
+    param_table,
     positional_embedding,
 )
 from han.autodiff import GradientTape, backward
@@ -17,7 +17,7 @@ from han.rng import Rng
 
 from oracles import (central_difference, max_relative_error, scalar_attention_matrix,
                      scalar_attention_reference)
-from reference_ops import attend_batch_reference
+from reference_ops import add, attend_batch_reference
 
 RS = np.random.RandomState(77)
 
@@ -29,7 +29,12 @@ def small_config(**kw):
 
 
 def make_params(config, seed=0, dtype=np.float64):
-    return init_attention_params(config, Rng(seed, "params"), dtype=dtype)
+    """One block drawn from a seeded stream by the init bounds of `param_table`."""
+    rng = Rng(seed, "params")
+    return AttentionParams(**{
+        name: ad.parameter(rng.uniform(shape, -bound, bound) if bound else np.zeros(shape), dtype=dtype)
+        for name, shape, bound in param_table(config)
+    })
 
 
 def attend_one(inputs, params, config, **kw):
@@ -288,8 +293,41 @@ class TestFusedBlock:
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+class TestPositionRows:
+    """`pe=rows`: the block adds constant position rows to every group's tokens."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_adding_the_rows_first_bit_for_bit(self, dtype):
+        config = small_config(n_heads=3, d_head=2, dropout_rate=0.3)
+        params = make_params(config, seed=33, dtype=dtype)
+        rs = np.random.RandomState(86)
+        x = ad.parameter(rs.uniform(-1, 1, (4, 5, config.d_model)), dtype=dtype)
+        rows = rs.uniform(-1, 1, (5, config.d_model)).astype(dtype)
+        weights = rs.uniform(-1, 1, (1, 4 * config.d_model)).astype(dtype)
+
+        def run(tokens, pe):
+            captured = []
+            streams = [Rng(8, f"dropout/0/{i}") for i in range(2)]
+            result = run_block(attend_batch, tokens, params, config, weights, training=True, rng=streams,
+                               weights_out=captured, pe=pe)
+            return result + captured
+
+        got = run(x, rows)
+        want = run(ad.parameter(x.data + rows), None)
+        assert len(got) == 8
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("shape", [(4, 6), (5, 7), (1, 5, 6)])
+    def test_rows_of_the_wrong_shape_rejected(self, shape):
+        config = small_config()
+        x = ad.constant(RS.uniform(-1, 1, (2, 5, config.d_model)))
+        with pytest.raises(ShapeError, match=r"position rows \(.*\) do not match 5 tokens of d_model 6"):
+            attend_batch(x, make_params(config), config, pe=np.zeros(shape))
+
+
 class TestEmbed:
-    """`embed=(w_e, b_e, pe)`: the block embeds raw coordinates itself."""
+    """`embed=(w_e, b_e)`: the block embeds raw coordinates itself, position rows included."""
 
     def make(self, dropout=0.3):
         config = small_config(n_heads=3, d_head=2, dropout_rate=dropout)
@@ -305,9 +343,9 @@ class TestEmbed:
         streams = [Rng(6, f"dropout/0/{i}") for i in range(2)]
         with GradientTape() as tape:
             if folded:
-                out = attend_batch(coords, params, config, True, streams, embed=(w_e, b_e, pe))
+                out = attend_batch(coords, params, config, True, streams, pe=pe, embed=(w_e, b_e))
             else:  # embed, add the position rows, then the block on d_model-wide tokens
-                tokens = ad.add(ad.linear(coords, w_e, b_e), ad.constant(np.broadcast_to(pe, (4, 5, config.d_model))))
+                tokens = add(ad.linear(coords, w_e, b_e), ad.constant(np.broadcast_to(pe, (4, 5, config.d_model))))
                 out = attend_batch(tokens, params, config, True, streams)
             records = len(tape)
             backward(block_loss(out, weights), tape)
@@ -326,14 +364,16 @@ class TestEmbed:
     def test_coordinates_must_be_constant(self):
         config, params, coords, w_e, b_e, pe = self.make()
         with pytest.raises(UsageError, match="constant coordinates"):
-            attend_batch(ad.parameter(coords.data), params, config, embed=(w_e, b_e, pe))
+            attend_batch(ad.parameter(coords.data), params, config, pe=pe, embed=(w_e, b_e))
 
     def test_embedding_shapes_checked(self):
         config, params, coords, w_e, b_e, pe = self.make()
         with pytest.raises(ShapeError, match="embedding"):
-            attend_batch(coords, params, config, embed=(w_e, b_e, pe[:4]))
+            attend_batch(coords, params, config, pe=pe, embed=(w_e, ad.parameter(b_e.data[:4])))
         with pytest.raises(ShapeError, match="embedding"):
-            attend_batch(ad.constant(coords.data[..., :2]), params, config, embed=(w_e, b_e, pe))
+            attend_batch(ad.constant(coords.data[..., :2]), params, config, pe=pe, embed=(w_e, b_e))
+        with pytest.raises(ShapeError, match="position rows"):
+            attend_batch(coords, params, config, pe=pe[:4], embed=(w_e, b_e))
 
 
 class TestBlockDropout:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from han.errors import UsageError
+from han.data import SkeletonSequence
+from han.errors import DataError, UsageError
 from han.estimator import HANClassifier
+from han.validation import as_sequence_list
 
 from conftest import TOY_PARTITION
 
@@ -119,3 +121,41 @@ class TestPredictUsesFittedGeometry:
         before = est.predict_proba(X)
         est.set_params(frames=5)
         assert np.array_equal(est.predict_proba(X), before)
+
+
+class TestPredictNonFinite:
+    """A row whose forward overflows has probabilities that are not finite:
+    `predict_proba` returns it, `predict` and `score` raise naming it."""
+
+    @staticmethod
+    def fitted():
+        X, y = toy_xy(n_per_class=2)
+        return fast_estimator(max_epochs=1).fit(X, y), X, y
+
+    def test_float32_max_joint_weights(self):
+        est, X, y = self.fitted()
+        est.model_.joint_w.data[:] = np.finfo(np.float32).max
+        with np.errstate(over="ignore", invalid="ignore"):
+            probs = est.predict_proba(X)
+            assert not np.isfinite(probs[0]).all()
+            with pytest.raises(DataError, match=r"X\[0\].*not finite"):
+                est.predict(X)
+            with pytest.raises(DataError, match=r"X\[0\]"):
+                est.score(X, y)
+
+    def test_names_the_first_overflowing_row(self):
+        est, X, _ = self.fitted()
+        X = [X[0], X[1], X[2] * 1e30, X[3] * 1e30]
+        with np.errstate(over="ignore", invalid="ignore"):
+            probs = est.predict_proba(X)
+            assert np.isfinite(probs[:2]).all() and not np.isfinite(probs[2]).all()
+            with pytest.raises(DataError, match=r"X\[2\]"):
+                est.predict(X)
+
+
+class TestValidatesOnce:
+    def test_sequences_are_the_callers_own(self):
+        seq = SkeletonSequence(frames=np.zeros((4, 6, 3)), label=7)
+        got = as_sequence_list([seq, np.ones((3, 6, 3))])
+        assert [s.label for s in got] == [0, 0] and got[0] is not seq and seq.label == 7
+        assert np.array_equal(got[1].frames, np.ones((3, 6, 3)))

@@ -1,13 +1,16 @@
 """Snapshot of the configuration surface: config keys and defaults, estimator
-parameters, and the checkpoint's config echo.
+parameters, the checkpoint's config echo and the attention block's arguments.
 
-A change here is a new option, a renamed key or a changed default. Update the
-expected values only on purpose, and say so where the change is recorded.
+A change here is a new option, a renamed key, a changed default or a new block
+argument. Update the expected values only on purpose, and say so where the
+change is recorded.
 """
 
+import inspect
 import json
 
 from han import cli
+from han.attention import attend_batch
 from han.config import CONFIG_KEYS, DEFAULTS, TrainConfig, build_configs
 from han.estimator import HANClassifier
 from han.model import HANConfig
@@ -45,6 +48,8 @@ EXPECTED_CONFIG_ECHO = (
     '"share_j_att":true,"share_t_att":true}'
 )
 
+EXPECTED_ATTEND_BATCH_PARAMS = ["x", "params", "config", "training", "rng", "weights_out", "pe", "embed"]
+
 
 def _flags(command):
     sub = cli._build_parser()._subparsers._group_actions[0].choices[command]
@@ -78,3 +83,7 @@ def test_estimator_params():
 
 def test_checkpoint_config_echo():
     assert json.dumps(HANConfig().to_dict(), sort_keys=True, separators=(",", ":")) == EXPECTED_CONFIG_ECHO
+
+
+def test_attend_batch_parameters():
+    assert list(inspect.signature(attend_batch).parameters) == EXPECTED_ATTEND_BATCH_PARAMS
