@@ -82,6 +82,10 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.warmup_epochs < 0 or self.plateau_patience < 1:
             raise ConfigError("warmup_epochs must be >= 0 and plateau_patience >= 1")
+        if self.max_epochs is not None and self.max_epochs < 1:
+            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 # fields holding a nested config, whose own fields the flat views inline

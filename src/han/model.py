@@ -14,11 +14,14 @@
 5. the 7 temporal features are fused by the fusion block,
 6. a fully connected layer maps the fused feature to class logits.
 
-Each site folds the batch into the leading axis of its `attend_batch`
-call. Sinusoid position embeddings are added to the tokens of steps 2-5 by
-the block (`attend_batch`'s `pe`) using 1-based indices (joint slot within
-its part, part number, frame number, stream number); each addition can be
-toggled off independently.
+`forward` lays out each site's token groups as batch-major rows (B·G, N, c)
+for one `attend_batch` call: J reads (B·T, n_p, 3) slices of the gathered
+coordinates, F stacks the 6 part rows, T folds the 7 streams as (B·7, T, d)
+for a shared block (one call per stream otherwise), and Fusion takes T's
+(B, 7, d) output as it is. Sinusoid position embeddings are added to the
+tokens of steps 2-5 by the block (`attend_batch`'s `pe`) using 1-based
+indices (joint slot within its part, part number, frame number, stream
+number); each addition can be toggled off independently.
 """
 
 from __future__ import annotations
@@ -139,41 +142,22 @@ def _batch_array(seqs, model: HANModel) -> np.ndarray:
     return frames
 
 
-def _attend_site(model, key, groups, blocks, use_pe, training, rng, capture, embed=None) -> Tensor:
-    """Aggregate token groups to (B, G, d). `groups` is one (B, G, N, c) tensor
-    for one shared block, run as one call on (B*G, N, c), or a list of G
-    (B, N, c) tensors, one call each with its own block. The batch-major fold
-    gives each sequence's dropout stream a contiguous share.
+def _attend_site(model, key, x, block, use_pe, training, rng, capture, embed=None) -> Tensor:
+    """One block call on batch-major token rows: (B·G, N, c) -> (B·G, d).
 
-    Each call adds the site's position rows 1..N when `use_pe`; `embed` passes
-    the joint embedding to the block, whose tokens are then raw coordinates."""
-    att = model.config.attention
-    if isinstance(groups, list):
-        (b, n, c), g = groups[0].shape, len(groups)
-    else:
-        b, g, n, c = groups.shape
-    pe = model.pe[1:n + 1] if use_pe else None
-    sink = [] if capture is not None else None
-
-    def attend(x, block):
-        return attend_batch(x, block, att, training, rng, sink, pe, embed)
-
-    if isinstance(groups, list):
-        out = ad.stack([attend(x, blk) for x, blk in zip(groups, blocks)], axis=1)
-    else:
-        out = ad.reshape(attend(ad.reshape(groups, (b * g, n, c)), blocks[0]), (b, g, att.d_model))
-    if capture is not None:
-        capture[key] = np.stack(sink, axis=1).reshape(b, g, att.n_heads, n, n)
-    return out
+    Row b·G + g is group g of sequence b, so each sequence's dropout stream
+    draws a contiguous share. The call adds the site's position rows 1..N when
+    `use_pe`, appends its (B·G, H, N, N) weights to the list `capture[key]`,
+    and with `embed` embeds the raw coordinates of `x` itself."""
+    pe = model.pe[1:x.shape[1] + 1] if use_pe else None
+    sink = None if capture is None else capture.setdefault(key, [])
+    return attend_batch(x, block, model.config.attention, training, rng, sink, pe, embed)
 
 
 def _fusion_stage(model, stream_feats, training, rng, capture) -> Tensor:
     """Fuse the 7 temporal features (B, 7, d) into one gesture feature each: (B, d)."""
-    b, _, d = stream_feats.shape
-    fin = ad.reshape(stream_feats, (b, 1, STREAM_COUNT, d))
-    fused = _attend_site(model, ("Fusion",), fin, [model.fusion_att], model.config.pe_fusion,
-                         training, rng, capture)
-    return ad.reshape(fused, (b, d))
+    return _attend_site(model, ("Fusion",), stream_feats, model.fusion_att, model.config.pe_fusion,
+                        training, rng, capture)
 
 
 def forward(seqs, model: HANModel, training: bool = False, rng: Rng | list[Rng] | None = None,
@@ -185,27 +169,33 @@ def forward(seqs, model: HANModel, training: bool = False, rng: Rng | list[Rng] 
     """
     cfg = model.config
     frames = _batch_array(seqs, model)
-    b = len(frames)
+    b, t = frames.shape[:2]
+    d = cfg.attention.d_model
     rng = [rng] if isinstance(rng, Rng) else rng
     if rng is not None and len(rng) != b:
         raise UsageError(f"forward got {len(rng)} dropout streams for {b} sequences")
     parts = cfg.partition.parts
-    coords = frames[:, :, np.concatenate(parts)]                # one gather into partition order
+    coords = frames[:, :, np.concatenate(parts)].reshape(b * t, -1, 3)   # one gather into partition order
+    maps = None if capture is None else {}
 
-    part_feats = []                                             # 6 x (B, T, d)
-    start = 0
+    part_rows, start = [], 0                                    # 6 x (B·T, d)
     for p_idx, part in enumerate(parts):
-        tokens = ad.constant(coords[:, :, start:start + len(part)])   # (B, T, n_p, 3)
+        tokens = ad.constant(coords[:, start:start + len(part)])          # (B·T, n_p, 3)
         start += len(part)
-        part_feats.append(_attend_site(model, ("J", p_idx), tokens, [model.j_att_for_part(p_idx)],
-                                       cfg.pe_j, training, rng, capture, (model.joint_w, model.joint_b)))
-    hand_in = ad.stack(part_feats, axis=2)                      # (B, T, 6, d)
-    hand = _attend_site(model, ("F",), hand_in, [model.f_att], cfg.pe_f, training, rng, capture)
-    streams = part_feats + [hand]                               # 7 x (B, T, d), one block each
+        part_rows.append(_attend_site(model, ("J", p_idx), tokens, model.j_att_for_part(p_idx),
+                                      cfg.pe_j, training, rng, maps, (model.joint_w, model.joint_b)))
+    hand = _attend_site(model, ("F",), ad.stack(part_rows, axis=1), model.f_att, cfg.pe_f, training, rng, maps)
+    streams = [ad.reshape(s, (b, t, d)) for s in part_rows + [hand]]   # 7 x (B, T, d)
     if cfg.share_t_att:
-        streams = ad.stack(streams, axis=1)                     # (B, 7, T, d) for the one shared block
-    stream_feats = _attend_site(model, ("T",), streams, model.t_att, cfg.pe_t, training, rng, capture)
-    fused = _fusion_stage(model, stream_feats, training, rng, capture)
+        folded = ad.reshape(ad.stack(streams, axis=1), (b * STREAM_COUNT, t, d))
+        stream_feats = ad.reshape(_attend_site(model, ("T",), folded, model.t_att[0], cfg.pe_t,
+                                               training, rng, maps), (b, STREAM_COUNT, d))
+    else:
+        stream_feats = ad.stack([_attend_site(model, ("T",), s, blk, cfg.pe_t, training, rng, maps)
+                                 for s, blk in zip(streams, model.t_att)], axis=1)
+    fused = _fusion_stage(model, stream_feats, training, rng, maps)
+    if capture is not None:  # each site's calls as (B, G, H, N, N)
+        capture.update((key, np.stack(m, axis=1).reshape(b, -1, *m[0].shape[1:])) for key, m in maps.items())
     return ad.linear(fused, model.cls_w, model.cls_b)
 
 

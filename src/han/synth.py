@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SkeletonSequence, default_partition, write_sequence
+from .data import MAX_CLASSES, SkeletonSequence, default_partition, write_sequence
 from .errors import ConfigError
 from .rng import Rng
 
@@ -32,12 +32,16 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.classes < 2 or self.per_class < 1:
-            raise ConfigError("need at least 2 classes and 1 sample per class")
+        if not 2 <= self.classes <= MAX_CLASSES:
+            raise ConfigError(f"classes must be in [2, {MAX_CLASSES}], got {self.classes}")
+        if self.per_class < 1:
+            raise ConfigError(f"per_class must be >= 1, got {self.per_class}")
         if not 0.0 <= self.test_fraction < 1.0:
             raise ConfigError(f"test_fraction must be in [0, 1), got {self.test_fraction}")
         if self.min_frames < 2 or self.max_frames < self.min_frames:
             raise ConfigError("frame range must satisfy 2 <= min <= max")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def rest_pose(joints: int = 22) -> np.ndarray:

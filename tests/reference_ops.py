@@ -21,7 +21,7 @@ from han import autodiff as ad
 from han.attention import AttentionConfig, AttentionParams
 from han.autodiff import Tensor, _check_same_dtype, record_op
 from han.errors import ConfigError, ShapeError, UsageError
-from han.model import HANModel, _attend_site, _batch_array, _fusion_stage
+from han.model import STREAM_COUNT, HANModel, _attend_site, _batch_array, _fusion_stage
 from han.rng import Rng
 
 
@@ -256,18 +256,24 @@ def forward_reference(seqs, model: HANModel, training: bool = False, rng: Rng | 
     d = cfg.attention.d_model
     rng = [rng] if isinstance(rng, Rng) else rng
     coords = ad.constant(frames.reshape(b * t * j, 3))
-    embedded = ad.reshape(ad.linear(coords, model.joint_w, model.joint_b), (b, t, j, d))
+    embedded = ad.reshape(ad.linear(coords, model.joint_w, model.joint_b), (b * t, j, d))
+    maps = None if capture is None else {}
 
-    part_feats = []
+    part_rows = []
     for p_idx, part in enumerate(cfg.partition.parts):
-        tokens = take(embedded, list(part), axis=2)             # (B, T, n_p, d)
-        part_feats.append(_attend_site(model, ("J", p_idx), tokens, [model.j_att_for_part(p_idx)],
-                                       cfg.pe_j, training, rng, capture))
-    hand_in = ad.stack(part_feats, axis=2)
-    hand = _attend_site(model, ("F",), hand_in, [model.f_att], cfg.pe_f, training, rng, capture)
-    streams = part_feats + [hand]
+        tokens = take(embedded, list(part), axis=1)             # (B·T, n_p, d)
+        part_rows.append(_attend_site(model, ("J", p_idx), tokens, model.j_att_for_part(p_idx),
+                                      cfg.pe_j, training, rng, maps))
+    hand = _attend_site(model, ("F",), ad.stack(part_rows, axis=1), model.f_att, cfg.pe_f, training, rng, maps)
+    streams = [ad.reshape(s, (b, t, d)) for s in part_rows + [hand]]
     if cfg.share_t_att:
-        streams = ad.stack(streams, axis=1)
-    stream_feats = _attend_site(model, ("T",), streams, model.t_att, cfg.pe_t, training, rng, capture)
-    fused = _fusion_stage(model, stream_feats, training, rng, capture)
+        folded = ad.reshape(ad.stack(streams, axis=1), (b * STREAM_COUNT, t, d))
+        stream_feats = ad.reshape(_attend_site(model, ("T",), folded, model.t_att[0], cfg.pe_t,
+                                               training, rng, maps), (b, STREAM_COUNT, d))
+    else:
+        stream_feats = ad.stack([_attend_site(model, ("T",), s, blk, cfg.pe_t, training, rng, maps)
+                                 for s, blk in zip(streams, model.t_att)], axis=1)
+    fused = _fusion_stage(model, stream_feats, training, rng, maps)
+    if capture is not None:
+        capture.update((key, np.stack(m, axis=1).reshape(b, -1, *m[0].shape[1:])) for key, m in maps.items())
     return ad.linear(fused, model.cls_w, model.cls_b)

@@ -53,6 +53,14 @@ class TestSynthCommand:
         assert main(synth_args(b, seed=9)) == 0
         assert (a / "manifest.tsv").read_bytes() == (b / "manifest.tsv").read_bytes()
 
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--classes", "65537")])
+    def test_out_of_range_value_exits_2_writing_nothing(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "d"
+        assert main(synth_args(out) + [flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag[2:]} must be") and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_outputs_exist(self, trained_dir):
@@ -86,6 +94,16 @@ class TestTrainCommand:
         code = main(["train", "--manifest", str(dataset_dir / "manifest.tsv"),
                      "--out", str(tmp_path / "o"), "--classes", "7"] + FAST_TRAIN)
         assert code == 2
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--max-epochs", "-3"), ("--max-epochs", "0")])
+    def test_out_of_range_value_exits_2_writing_nothing(self, tmp_path, dataset_dir, capsys, flag, value):
+        out = tmp_path / "o"
+        code = main(["train", "--manifest", str(dataset_dir / "manifest.tsv"),
+                     "--out", str(out)] + FAST_TRAIN + [flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag[2:].replace('-', '_')} must be >= ") and "Traceback" not in err
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path, dataset_dir):
         a, b = tmp_path / "r1", tmp_path / "r2"

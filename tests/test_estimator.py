@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from han.data import SkeletonSequence
-from han.errors import DataError, UsageError
+from han.errors import ConfigError, DataError, UsageError
 from han.estimator import HANClassifier
 from han.validation import as_sequence_list
 
@@ -92,6 +92,12 @@ class TestFitPredict:
         X, _ = toy_xy(n_per_class=3, classes=1)
         with pytest.raises(UsageError):
             fast_estimator().fit(X, np.zeros(len(X), dtype=int))
+
+    @pytest.mark.parametrize("name, value", [("seed", -1), ("max_epochs", 0)])
+    def test_out_of_range_schedule_rejected(self, name, value):
+        X, y = toy_xy(n_per_class=2)
+        with pytest.raises(ConfigError, match=f"{name} must be >= "):
+            fast_estimator(**{name: value}).fit(X, y)
 
 
 class TestInputValidation:

@@ -1,8 +1,9 @@
 """Snapshot of the configuration surface: config keys and defaults, estimator
-parameters, the checkpoint's config echo and the attention block's arguments.
+parameters, the checkpoint's config echo, and the arguments of the attention
+block and of the model's forward.
 
 A change here is a new option, a renamed key, a changed default or a new block
-argument. Update the expected values only on purpose, and say so where the
+or forward argument. Update the expected values only on purpose, and say so where the
 change is recorded.
 """
 
@@ -13,7 +14,7 @@ from han import cli
 from han.attention import attend_batch
 from han.config import CONFIG_KEYS, DEFAULTS, TrainConfig, build_configs
 from han.estimator import HANClassifier
-from han.model import HANConfig
+from han.model import HANConfig, forward
 
 EXPECTED_DEFAULTS = {
     "d_model": 128, "heads": 8, "d_head": 32, "dropout": 0.1, "frames": 8, "classes": 14,
@@ -49,6 +50,9 @@ EXPECTED_CONFIG_ECHO = (
 )
 
 EXPECTED_ATTEND_BATCH_PARAMS = ["x", "params", "config", "training", "rng", "weights_out", "pe", "embed"]
+
+# bench/tracing.py reads `training` as forward's third positional argument
+EXPECTED_FORWARD_PARAMS = ["seqs", "model", "training", "rng", "capture"]
 
 
 def _flags(command):
@@ -87,3 +91,7 @@ def test_checkpoint_config_echo():
 
 def test_attend_batch_parameters():
     assert list(inspect.signature(attend_batch).parameters) == EXPECTED_ATTEND_BATCH_PARAMS
+
+
+def test_forward_parameters():
+    assert list(inspect.signature(forward).parameters) == EXPECTED_FORWARD_PARAMS
