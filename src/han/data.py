@@ -3,7 +3,8 @@
 File formats
 ------------
 Sequence file: UTF-8 text, one frame per line, 3*J whitespace-separated
-decimal reals, joint-major (x1 y1 z1 x2 y2 z2 ...).
+decimal reals, joint-major (x1 y1 z1 x2 y2 z2 ...), each read as Python
+float() reads it.
 
 Manifest file: header lines ``classes=<n>``, ``joints=<22|21>`` and optional
 ``partition=<name|path>``; then one entry per line,
@@ -167,12 +168,32 @@ class SkeletonSequence:
 
 
 def parse_sequence(path: str, joint_count: int, label: int = 0) -> SkeletonSequence:
-    """Read one sequence file; every nonempty line must hold exactly 3*J reals."""
+    """Read one sequence file; every nonempty line must hold exactly 3*J reals, read as float() reads them."""
+    lines = read_lines(path, "sequence file")
+    # np.loadtxt parses in C with float()'s own core, accepting a subset of its tokens; it warns
+    # on a file with no data, so a blank file goes straight to the line walk, which names it
+    if not all(map(str.isspace, lines)):
+        try:
+            values = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:  # a malformed line, or a token only float() reads: the line walk decides
+            pass
+        else:
+            if len(values) and values.shape[1] == 3 * joint_count and _in_float32_range(values).all():
+                return SkeletonSequence(frames=values.reshape(-1, joint_count, 3), label=label)
+    return _parse_lines(path, lines, joint_count, label)
+
+
+def _in_float32_range(values: np.ndarray) -> np.ndarray:
+    return np.abs(values) <= np.finfo(np.float32).max  # nan fails the comparison too
+
+
+def _parse_lines(path: str, lines: list[str], joint_count: int, label: int) -> SkeletonSequence:
+    """The line walk: every error in a sequence file's frames is raised here."""
     want = 3 * joint_count
     linenos = []
 
     def rows():
-        for lineno, line in enumerate(read_lines(path, "sequence file"), start=1):
+        for lineno, line in enumerate(lines, start=1):
             tokens = line.split()
             if not tokens:
                 continue
@@ -189,8 +210,7 @@ def parse_sequence(path: str, joint_count: int, label: int = 0) -> SkeletonSeque
     if not linenos:
         raise ParseError(f"{path}: no frames found")
     frames = values.reshape(-1, joint_count, 3)
-    # one pass per file (a per-line check slows parsing); nan fails the comparison too
-    in_range = (np.abs(frames) <= np.finfo(np.float32).max).all(axis=(1, 2))
+    in_range = _in_float32_range(frames).all(axis=(1, 2))  # one pass per file: a per-line check slows parsing
     if not in_range.all():
         row = int(np.argmin(in_range))
         what = "non-finite coordinate" if not np.isfinite(frames[row]).all() else "coordinate beyond float32 range"

@@ -38,10 +38,14 @@ class SynthConfig:
             raise ConfigError(f"per_class must be >= 1, got {self.per_class}")
         if not 0.0 <= self.test_fraction < 1.0:
             raise ConfigError(f"test_fraction must be in [0, 1), got {self.test_fraction}")
+        if self.test_fraction > 0 and math.ceil(self.per_class * self.test_fraction) >= self.per_class:
+            raise ConfigError(f"test_fraction {self.test_fraction} leaves no training sample "
+                              f"of {self.per_class} per class")
         if self.min_frames < 2 or self.max_frames < self.min_frames:
             raise ConfigError("frame range must satisfy 2 <= min <= max")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        default_partition(self.joints)  # a joint count with no built-in layout fails before anything is written
 
 
 def rest_pose(joints: int = 22) -> np.ndarray:

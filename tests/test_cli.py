@@ -61,6 +61,24 @@ class TestSynthCommand:
         assert err.startswith(f"error: {flag[2:]} must be") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--joints", "7"], "no built-in partition for 7 joints"),
+        (["--per-class", "1"], "test_fraction 0.25 leaves no training sample of 1 per class"),
+        (["--per-class", "1", "--test-fraction", "0.99"], "test_fraction 0.99 leaves no training sample"),
+        (["--per-class", "2", "--test-fraction", "0.6"], "test_fraction 0.6 leaves no training sample of 2"),
+    ])
+    def test_unusable_layout_exits_2_writing_nothing(self, tmp_path, capsys, extra, message):
+        out = tmp_path / "d"
+        assert main(synth_args(out, classes=2) + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_one_per_class_with_no_test_split_is_accepted(self, tmp_path):
+        assert main(synth_args(tmp_path / "d", classes=2, per_class=1) + ["--test-fraction", "0"]) == 0
+        ds = load_manifest(str(tmp_path / "d" / "manifest.tsv"))
+        assert [e.split for e in ds.entries] == ["train", "train"]
+
 
 class TestTrainCommand:
     def test_outputs_exist(self, trained_dir):
@@ -200,6 +218,17 @@ class TestEvalCommand:
         code = main(["eval", "--checkpoint", str(trained_dir / "model.ckpt"), "--manifest", str(manifest)])
         assert code == 3
         assert "beyond float32 range" in capsys.readouterr().err
+
+    def test_blank_sequence_exits_3_without_warning(self, trained_dir, tmp_path, capsys):
+        seq = tmp_path / "s.txt"
+        seq.write_text(" \n\n")
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("classes=3\njoints=22\ns.txt\t0\ttest\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["eval", "--checkpoint", str(trained_dir / "model.ckpt"), "--manifest", str(manifest)])
+        assert code == 3
+        assert capsys.readouterr().err == f"data error: {seq}: no frames found\n"
 
     def test_invalid_utf8_sequence_exits_3(self, trained_dir, tmp_path, capsys):
         seq = tmp_path / "s.txt"

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from han import data
 from han.data import (
     FPHA21,
     SHREC22,
@@ -147,6 +150,36 @@ class TestSequenceIO:
         path.write_text(good + "\n" + good + "\n" + good.replace("0", "-1e39", 1) + "\n")
         with pytest.raises(ParseError, match=r"seq\.txt:3: coordinate beyond float32 range"):
             parse_sequence(str(path), 22)
+
+    @pytest.mark.parametrize("text", ["", " \n\t\n", "\u3000\r\n\x0c\n"], ids=["empty", "blank", "unicode-blank"])
+    def test_file_without_frames_raises_without_warning(self, tmp_path, text):
+        # np.loadtxt warns "input contained no data" on such input; it must never see it
+        path = tmp_path / "seq.txt"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match=r"seq\.txt: no frames found"):
+                parse_sequence(str(path), 22)
+
+    def test_well_formed_file_skips_the_line_walk(self, tmp_path, monkeypatch):
+        path = tmp_path / "seq.txt"
+        write_sequence(make_seq(t=4), str(path))
+        monkeypatch.setattr(data, "_parse_lines", None)  # a call would raise TypeError
+        assert parse_sequence(str(path), 22).frame_count == 4
+
+    @pytest.mark.parametrize("token, value", [("1_0", 10.0), ("\u0661\u0662.5", 12.5)])
+    def test_token_only_float_reads_takes_the_line_walk(self, tmp_path, monkeypatch, token, value):
+        path = tmp_path / "seq.txt"
+        good = " ".join(["0.5"] * 66)
+        path.write_text(good + "\n" + good.replace("0.5", token, 1) + "\n", encoding="utf-8")
+        walked = []
+        line_walk = data._parse_lines
+        monkeypatch.setattr(data, "_parse_lines", lambda *args: walked.append(args) or line_walk(*args))
+        seq = parse_sequence(str(path), 22)
+        assert len(walked) == 1
+        flat = seq.frames.reshape(-1)
+        assert flat[66] == float(token) == value
+        assert np.all(np.delete(flat, 66) == 0.5)
 
     def test_roundtrip_through_text(self, tmp_path):
         seq = make_seq(t=3, j=21)

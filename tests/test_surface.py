@@ -1,6 +1,6 @@
 """Snapshot of the configuration surface: config keys and defaults, estimator
 parameters, the checkpoint's config echo, and the arguments of the attention
-block and of the model's forward.
+block, of the model's forward and of the sequence-file parser.
 
 A change here is a new option, a renamed key, a changed default or a new block
 or forward argument. Update the expected values only on purpose, and say so where the
@@ -13,6 +13,7 @@ import json
 from han import cli
 from han.attention import attend_batch
 from han.config import CONFIG_KEYS, DEFAULTS, TrainConfig, build_configs
+from han.data import parse_sequence
 from han.estimator import HANClassifier
 from han.model import HANConfig, forward
 
@@ -53,6 +54,10 @@ EXPECTED_ATTEND_BATCH_PARAMS = ["x", "params", "config", "training", "rng", "wei
 
 # bench/tracing.py reads `training` as forward's third positional argument
 EXPECTED_FORWARD_PARAMS = ["seqs", "model", "training", "rng", "capture"]
+
+# bench/tracing.py wraps han.data.parse_sequence by name to time data.parse_ms_per_seq,
+# so the whole parse, fast path and line walk alike, stays inside this one function
+EXPECTED_PARSE_SEQUENCE_PARAMS = ["path", "joint_count", "label"]
 
 
 def _flags(command):
@@ -95,3 +100,7 @@ def test_attend_batch_parameters():
 
 def test_forward_parameters():
     assert list(inspect.signature(forward).parameters) == EXPECTED_FORWARD_PARAMS
+
+
+def test_parse_sequence_parameters():
+    assert list(inspect.signature(parse_sequence).parameters) == EXPECTED_PARSE_SEQUENCE_PARAMS
