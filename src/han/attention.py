@@ -67,15 +67,6 @@ class AttentionParams:
     wa: Tensor
     ba: Tensor
 
-    def named(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [
-            (f"{prefix}.wk", self.wk),
-            (f"{prefix}.wq", self.wq),
-            (f"{prefix}.wv", self.wv),
-            (f"{prefix}.wa", self.wa),
-            (f"{prefix}.ba", self.ba),
-        ]
-
     def validate(self, config: AttentionConfig) -> None:
         for name, want, _ in param_table(config):
             t = getattr(self, name)

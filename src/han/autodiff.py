@@ -25,7 +25,7 @@ from .errors import ShapeError, UsageError
 
 DEFAULT_DTYPE = np.float32
 
-_ALLOWED_DTYPES = (np.float32, np.float64)
+DTYPES = (np.float32, np.float64)  # what a tensor may hold; anything else becomes DEFAULT_DTYPE
 
 
 class Tensor:
@@ -35,7 +35,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
-        if arr.dtype.type not in _ALLOWED_DTYPES:
+        if arr.dtype.type not in DTYPES:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)

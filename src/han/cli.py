@@ -3,7 +3,8 @@
 Subcommands: train, eval, profile, export-attn, synth. Configuration is
 resolved as built-in defaults < `--config` key=value file < command-line
 flags; unknown keys in the config file are a hard error. Exit codes:
-0 success, 2 configuration/usage, 3 data, 4 internal invariant violation.
+0 success, 2 configuration/usage or an unusable output path, 3 data,
+4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -127,8 +128,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         values["partition"] = dataset.partition
     config, train_config = build_configs(values)
     model = HANModel(config, seed=train_config.seed)
+    os.makedirs(args.out, exist_ok=True)  # an unusable --out fails here, not after the run
     result = train(dataset, model, train_config)
-    os.makedirs(args.out, exist_ok=True)
     save_checkpoint(result.model, os.path.join(args.out, "model.ckpt"))
     write_training_log(os.path.join(args.out, "train.log"), result)
     print(f"epochs={len(result.epochs)} train_acc={result.final_train_acc:.4f} "
@@ -225,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, UsageError) as exc:
+    except (ConfigError, UsageError, OSError) as exc:  # an OSError names the unusable output path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DataError as exc:

@@ -32,6 +32,8 @@ from .rng import Rng
 MAX_CLASSES = 65_536
 MAX_FRAMES = 4_096
 
+PART_COUNT = 6  # hand parts in every partition
+
 
 @dataclass(frozen=True)
 class HandPartition:
@@ -41,8 +43,8 @@ class HandPartition:
     name: str = "custom"
 
     def __post_init__(self):
-        if len(self.parts) != 6:
-            raise ConfigError(f"partition needs exactly 6 parts, got {len(self.parts)}")
+        if len(self.parts) != PART_COUNT:
+            raise ConfigError(f"partition needs exactly {PART_COUNT} parts, got {len(self.parts)}")
         seen: set[int] = set()
         for part in self.parts:
             if not part:
@@ -120,8 +122,8 @@ def read_lines(path: str, what: str) -> list[str]:
 
 def load_partition(path: str) -> HandPartition:
     lines = [ln.strip() for ln in read_lines(path, "partition file") if ln.strip()]
-    if len(lines) != 6:
-        raise ParseError(f"{path}: partition file needs 6 lines, found {len(lines)}")
+    if len(lines) != PART_COUNT:
+        raise ParseError(f"{path}: partition file needs {PART_COUNT} lines, found {len(lines)}")
     parts = []
     for i, line in enumerate(lines, start=1):
         try:
@@ -342,6 +344,8 @@ def load_manifest(path: str) -> Dataset:
             key = key.strip()
             if key not in ("classes", "joints", "partition"):
                 raise ParseError(f"{path}:{lineno}: unknown manifest header '{key}'")
+            if key in header:
+                raise ParseError(f"{path}:{lineno}: manifest header '{key}' repeats line {header_lines[key]}")
             header[key] = value.strip()
             header_lines[key] = lineno
             continue

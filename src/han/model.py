@@ -40,19 +40,19 @@ from . import autodiff as ad
 from .attention import AttentionParams, attend_batch, param_table, positional_embedding
 from .autodiff import Tensor
 from .config import HANConfig
-from .data import SkeletonSequence
+from .data import PART_COUNT, SkeletonSequence
 from .errors import CheckpointError, ConfigError, DataError, UsageError
 from .rng import Rng
 
 SITES = ("J", "F", "T", "Fusion")
-STREAM_COUNT = 7  # 6 parts + whole hand
+STREAM_COUNT = PART_COUNT + 1  # the parts + whole hand
 EVAL_CHUNK = 8  # sequences per eval-mode forward in `probabilities`; bounds peak memory
 
 
 class HANModel:
     """Parameter set for one configuration; see `parameters` for the registry."""
 
-    def __init__(self, config: HANConfig, dtype=np.float32, seed: int = 0):
+    def __init__(self, config: HANConfig, dtype=ad.DEFAULT_DTYPE, seed: int = 0):
         rng = Rng(seed, "init")
         self._build(config, dtype, lambda name, shape, bound: rng.uniform(shape, -bound, bound) if bound
                     else np.zeros(shape))
@@ -64,7 +64,7 @@ class HANModel:
         self.dtype = np.dtype(dtype).type
         att = config.attention
         d = att.d_model
-        max_pos = max(config.frames, STREAM_COUNT, max(len(p) for p in config.partition.parts), 6) + 1
+        max_pos = max(config.frames, STREAM_COUNT, max(len(p) for p in config.partition.parts), PART_COUNT) + 1
         # sinusoid rows 0..max_pos-1, cast once; a site with N tokens adds rows 1..N
         self.pe = np.stack([positional_embedding(i, d) for i in range(max_pos)]).astype(self.dtype)
         self._params = {name: ad.parameter(value(name, shape, bound), dtype=self.dtype)
@@ -81,9 +81,6 @@ class HANModel:
         self.fusion_att, = blocks("fusion_att")
         self.cls_w, self.cls_b = self._params["cls.w"], self._params["cls.b"]
 
-    def j_att_for_part(self, part_idx: int) -> AttentionParams:
-        return self.j_att[0] if self.config.share_j_att else self.j_att[part_idx]
-
     def parameters(self) -> list[tuple[str, Tensor]]:
         """Every learnable tensor with a stable name, in a fixed order."""
         return list(self._params.items())
@@ -97,7 +94,7 @@ def _block_names(config: HANConfig) -> dict[str, list[str]]:
     def names(prefix, count):
         return [prefix] if count == 1 else [f"{prefix}.{i}" for i in range(count)]
 
-    return {"j_att": names("j_att", 1 if config.share_j_att else 6), "f_att": ["f_att"],
+    return {"j_att": names("j_att", 1 if config.share_j_att else PART_COUNT), "f_att": ["f_att"],
             "t_att": names("t_att", 1 if config.share_t_att else STREAM_COUNT), "fusion_att": ["fusion_att"]}
 
 
@@ -154,12 +151,6 @@ def _attend_site(model, key, x, block, use_pe, training, rng, capture, embed=Non
     return attend_batch(x, block, model.config.attention, training, rng, sink, pe, embed)
 
 
-def _fusion_stage(model, stream_feats, training, rng, capture) -> Tensor:
-    """Fuse the 7 temporal features (B, 7, d) into one gesture feature each: (B, d)."""
-    return _attend_site(model, ("Fusion",), stream_feats, model.fusion_att, model.config.pe_fusion,
-                        training, rng, capture)
-
-
 def forward(seqs, model: HANModel, training: bool = False, rng: Rng | list[Rng] | None = None,
             capture: dict | None = None) -> Tensor:
     """Class logits (B, C) for a list of sampled sequences or one (B, T, J, 3) array.
@@ -182,7 +173,7 @@ def forward(seqs, model: HANModel, training: bool = False, rng: Rng | list[Rng] 
     for p_idx, part in enumerate(parts):
         tokens = ad.constant(coords[:, start:start + len(part)])          # (B·T, n_p, 3)
         start += len(part)
-        part_rows.append(_attend_site(model, ("J", p_idx), tokens, model.j_att_for_part(p_idx),
+        part_rows.append(_attend_site(model, ("J", p_idx), tokens, model.j_att[0 if cfg.share_j_att else p_idx],
                                       cfg.pe_j, training, rng, maps, (model.joint_w, model.joint_b)))
     hand = _attend_site(model, ("F",), ad.stack(part_rows, axis=1), model.f_att, cfg.pe_f, training, rng, maps)
     streams = [ad.reshape(s, (b, t, d)) for s in part_rows + [hand]]   # 7 x (B, T, d)
@@ -193,7 +184,7 @@ def forward(seqs, model: HANModel, training: bool = False, rng: Rng | list[Rng] 
     else:
         stream_feats = ad.stack([_attend_site(model, ("T",), s, blk, cfg.pe_t, training, rng, maps)
                                  for s, blk in zip(streams, model.t_att)], axis=1)
-    fused = _fusion_stage(model, stream_feats, training, rng, maps)
+    fused = _attend_site(model, ("Fusion",), stream_feats, model.fusion_att, cfg.pe_fusion, training, rng, maps)
     if capture is not None:  # each site's calls as (B, G, H, N, N)
         capture.update((key, np.stack(m, axis=1).reshape(b, -1, *m[0].shape[1:])) for key, m in maps.items())
     return ad.linear(fused, model.cls_w, model.cls_b)
@@ -243,9 +234,6 @@ def extract_attention(seq, model: HANModel, site: str, *, frame: int | None = No
     cfg = model.config
     if site not in SITES:
         raise UsageError(f"site must be one of {SITES}, got '{site}'")
-    capture: dict = {}
-    forward([seq], model, training=False, capture=capture)
-    capture = {key: maps[0] for key, maps in capture.items()}     # (G, H, N, N) per site
 
     def need(value, name, bound):
         if value is None:
@@ -254,18 +242,18 @@ def extract_attention(seq, model: HANModel, site: str, *, frame: int | None = No
             raise UsageError(f"{name} selector {value} out of range [0, {bound})")
         return value
 
+    # every selector is checked before the forward runs
     if site == "J":
-        p = need(part, "part", 6)
-        f = need(frame, "frame", cfg.frames)
-        per_head = capture[("J", p)][f]
+        key, group = ("J", need(part, "part", PART_COUNT)), need(frame, "frame", cfg.frames)
     elif site == "F":
-        f = need(frame, "frame", cfg.frames)
-        per_head = capture[("F",)][f]
+        key, group = ("F",), need(frame, "frame", cfg.frames)
     elif site == "T":
-        s = need(stream, "stream", STREAM_COUNT)
-        per_head = capture[("T",)][s]
+        key, group = ("T",), need(stream, "stream", STREAM_COUNT)
     else:
-        per_head = capture[("Fusion",)][0]
+        key, group = ("Fusion",), 0
+    capture: dict = {}
+    forward([seq], model, training=False, capture=capture)
+    per_head = capture[key][0, group]                          # (H, N, N)
     head_avg = per_head.mean(axis=0)
     frame_sums = head_avg.sum(axis=0) if site == "T" else None
     return AttentionMaps(site=site, per_head=per_head, head_avg=head_avg, frame_sums=frame_sums)
@@ -286,7 +274,7 @@ def extract_attention(seq, model: HANModel, site: str, *, frame: int | None = No
 #          (dtype from the config echo: float32 or float64)
 
 _MAGIC = b"HAN-CKPT v1\n"
-_DTYPES = ("float32", "float64")
+_DTYPES = [np.dtype(t).name for t in ad.DTYPES]
 
 
 def save_checkpoint(model: HANModel, path: str) -> None:

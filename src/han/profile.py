@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .data import PART_COUNT
 from .model import HANConfig, STREAM_COUNT
 
 
@@ -64,7 +65,7 @@ def _invocations(config: HANConfig) -> dict[str, list[int]]:
     part_sizes = [len(p) for p in config.partition.parts]
     return {
         "j_att": [n for _ in range(config.frames) for n in part_sizes],
-        "f_att": [6] * config.frames,
+        "f_att": [PART_COUNT] * config.frames,
         "t_att": [config.frames] * STREAM_COUNT,
         "fusion_att": [STREAM_COUNT],
     }
@@ -89,7 +90,7 @@ def cost_report(config: HANConfig) -> CostReport:
     if config.pe_j:
         pe_adds += t * j * d
     if config.pe_f:
-        pe_adds += t * 6 * d
+        pe_adds += t * PART_COUNT * d
     if config.pe_t:
         pe_adds += STREAM_COUNT * t * d
     if config.pe_fusion:
@@ -98,7 +99,7 @@ def cost_report(config: HANConfig) -> CostReport:
 
     rows = (
         CostRow("joint_embed", d * 3 + d, j * t * 3 * d),
-        CostRow("j_att", block * (1 if config.share_j_att else 6), site_flops("j_att")),
+        CostRow("j_att", block * (1 if config.share_j_att else PART_COUNT), site_flops("j_att")),
         CostRow("f_att", block, site_flops("f_att")),
         CostRow("t_att", block * (1 if config.share_t_att else STREAM_COUNT), site_flops("t_att")),
         CostRow("fusion_att", block, site_flops("fusion_att")),

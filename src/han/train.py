@@ -185,11 +185,7 @@ class TrainResult:
 
 def train(dataset: Dataset, model: HANModel, config: TrainConfig) -> TrainResult:
     """Run the full schedule on a dataset's train split; see module docstring."""
-    train_seqs = dataset.load_split("train")
-    if not train_seqs:
-        raise UsageError("training split is empty")
-    val_seqs = dataset.load_split("test")
-    return train_loop(train_seqs, val_seqs, model, config)
+    return train_loop(dataset.load_split("train"), dataset.load_split("test"), model, config)
 
 
 def train_loop(

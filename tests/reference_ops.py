@@ -21,7 +21,7 @@ from han import autodiff as ad
 from han.attention import AttentionConfig, AttentionParams
 from han.autodiff import Tensor, _check_same_dtype, record_op
 from han.errors import ConfigError, ShapeError, UsageError
-from han.model import STREAM_COUNT, HANModel, _attend_site, _batch_array, _fusion_stage
+from han.model import STREAM_COUNT, HANModel, _attend_site, _batch_array
 from han.rng import Rng
 
 
@@ -262,7 +262,7 @@ def forward_reference(seqs, model: HANModel, training: bool = False, rng: Rng | 
     part_rows = []
     for p_idx, part in enumerate(cfg.partition.parts):
         tokens = take(embedded, list(part), axis=1)             # (B·T, n_p, d)
-        part_rows.append(_attend_site(model, ("J", p_idx), tokens, model.j_att_for_part(p_idx),
+        part_rows.append(_attend_site(model, ("J", p_idx), tokens, model.j_att[0 if cfg.share_j_att else p_idx],
                                       cfg.pe_j, training, rng, maps))
     hand = _attend_site(model, ("F",), ad.stack(part_rows, axis=1), model.f_att, cfg.pe_f, training, rng, maps)
     streams = [ad.reshape(s, (b, t, d)) for s in part_rows + [hand]]
@@ -273,7 +273,7 @@ def forward_reference(seqs, model: HANModel, training: bool = False, rng: Rng | 
     else:
         stream_feats = ad.stack([_attend_site(model, ("T",), s, blk, cfg.pe_t, training, rng, maps)
                                  for s, blk in zip(streams, model.t_att)], axis=1)
-    fused = _fusion_stage(model, stream_feats, training, rng, maps)
+    fused = _attend_site(model, ("Fusion",), stream_feats, model.fusion_att, cfg.pe_fusion, training, rng, maps)
     if capture is not None:
         capture.update((key, np.stack(m, axis=1).reshape(b, -1, *m[0].shape[1:])) for key, m in maps.items())
     return ad.linear(fused, model.cls_w, model.cls_b)

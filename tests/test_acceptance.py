@@ -20,7 +20,7 @@ from han.model import (
     HANModel,
     extract_attention,
     forward,
-    _fusion_stage,
+    _attend_site,
 )
 from han.profile import count_flops, count_params
 from han.train import ScheduleState, TrainConfig, cross_entropy, train
@@ -155,9 +155,13 @@ def test_criterion_05_permutation_invariance_suite():
     # the frames
     assert np.max(np.abs(forward([frames[[3, 1, 0, 2]]], model).data - base)) < 1e-5
     # the 7 fusion streams, driven directly through the fusion stage
+    def fuse(stream_feats):
+        return _attend_site(model, ("Fusion",), stream_feats, model.fusion_att, model.config.pe_fusion,
+                            False, None, None).data
+
     streams = ad.constant(RS.uniform(-1, 1, (7, 6)), dtype=np.float64)
-    fused = _fusion_stage(model, ad.reshape(streams, (1, 7, 6)), False, None, None).data
-    moved = _fusion_stage(model, ad.constant(streams.data[RS.permutation(7)][None]), False, None, None).data
+    fused = fuse(ad.reshape(streams, (1, 7, 6)))
+    moved = fuse(ad.constant(streams.data[RS.permutation(7)][None]))
     assert np.max(np.abs(fused - moved)) < 1e-5
 
     # with embeddings on, frame order must matter on every random input

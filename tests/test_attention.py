@@ -37,6 +37,11 @@ def make_params(config, seed=0, dtype=np.float64):
     })
 
 
+def block_tensors(params, config):
+    """The block's five parameter tensors, in `param_table` order."""
+    return [getattr(params, name) for name, _, _ in param_table(config)]
+
+
 def attend_one(inputs, params, config, **kw):
     """The block on one token group (N, d): `attend_batch` on a (1, N, d) batch, output (d,)."""
     return attend_batch(ad.constant(np.asarray(inputs)[None]), params, config, **kw).data[0]
@@ -90,7 +95,7 @@ class TestConfigAndParams:
         config = AttentionConfig()
         assert config.param_count() == 131_200
         params = make_params(config)
-        total = sum(t.size for _, t in params.named("blk"))
+        total = sum(t.size for t in block_tensors(params, config))
         assert total == 131_200
 
     def test_init_bounds_follow_fan_in(self):
@@ -256,7 +261,7 @@ def block_loss(out, weights):
 
 def run_block(block, x, params, config, weights, **kw):
     """Output and the gradients of x and the five parameters after one backward."""
-    leaves = [x] + [t for _, t in params.named("blk")]
+    leaves = [x] + block_tensors(params, config)
     with GradientTape() as tape:
         out = block(x, params, config, **kw)
         backward(block_loss(out, weights), tape)
@@ -349,7 +354,7 @@ class TestEmbed:
                 out = attend_batch(tokens, params, config, True, streams)
             records = len(tape)
             backward(block_loss(out, weights), tape)
-        result = [out.data.copy()] + [t.grad.copy() for t in [w_e, b_e] + [t for _, t in params.named("blk")]]
+        result = [out.data.copy()] + [t.grad.copy() for t in [w_e, b_e] + block_tensors(params, config)]
         tape.reset()
         return records, result
 
@@ -422,7 +427,7 @@ class TestBlockDropout:
 
         analytic = run_block(attend_batch, x, params, config, weights,
                              training=True, rng=[Rng(9, "s0"), Rng(9, "s1")])[1:]
-        leaves = [x] + [t for _, t in params.named("blk")]
+        leaves = [x] + block_tensors(params, config)
         for leaf, got in zip(leaves, analytic):
             want = central_difference(lambda: loss().item(), leaf.data)
             assert max_relative_error(got, want) < 1e-6, f"gradient mismatch on shape {leaf.shape}"

@@ -123,6 +123,16 @@ class TestTrainCommand:
         assert err.startswith(f"error: {flag[2:].replace('-', '_')} must be >= ") and "Traceback" not in err
         assert not out.exists()
 
+    def test_repeated_manifest_header_exits_3(self, tmp_path, dataset_dir, capsys):
+        entries = load_manifest(str(dataset_dir / "manifest.tsv")).entries
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("classes=3\njoints=22\nclasses=2\n"
+                            + "".join(f"{e.path}\t{e.label}\t{e.split}\n" for e in entries))
+        assert main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "o")] + FAST_TRAIN) == 3
+        err = capsys.readouterr().err
+        assert f"{manifest}:3: manifest header 'classes' repeats line 1" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_byte_identical_reruns(self, tmp_path, dataset_dir):
         a, b = tmp_path / "r1", tmp_path / "r2"
         args = ["train", "--manifest", str(dataset_dir / "manifest.tsv")] + FAST_TRAIN
@@ -384,6 +394,43 @@ class TestExportAttnCommand:
                      "--sequence", ds.entries[0].path, "--site", "F",
                      "--out", str(tmp_path / "y")])
         assert code == 2
+
+
+class TestUnusableOutputPath:
+    """An output path that cannot be written exits 2 naming it, with no traceback."""
+
+    @pytest.fixture
+    def a_file(self, tmp_path):
+        path = tmp_path / "a-file"
+        path.write_text("")
+        return path
+
+    def check(self, argv, path, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
+
+    def test_synth_out_is_a_file(self, a_file, capsys):
+        self.check(synth_args(a_file), a_file, capsys)
+
+    def test_train_out_is_a_file_fails_before_training(self, a_file, dataset_dir, capsys, monkeypatch):
+        monkeypatch.setattr("han.cli.train", lambda *args: pytest.fail("trained before making --out"))
+        self.check(["train", "--manifest", str(dataset_dir / "manifest.tsv"), "--out", str(a_file)] + FAST_TRAIN,
+                   a_file, capsys)
+
+    def test_profile_csv_in_missing_directory(self, tmp_path, capsys):
+        csv = tmp_path / "none" / "x.csv"
+        self.check(["profile", "--csv", str(csv)], csv, capsys)
+
+    def test_eval_confusion_in_missing_directory(self, trained_dir, dataset_dir, tmp_path, capsys):
+        csv = tmp_path / "none" / "conf.csv"
+        self.check(["eval", "--checkpoint", str(trained_dir / "model.ckpt"),
+                    "--manifest", str(dataset_dir / "manifest.tsv"), "--confusion", str(csv)], csv, capsys)
+
+    def test_export_attn_out_is_a_file(self, trained_dir, dataset_dir, a_file, capsys):
+        seq = load_manifest(str(dataset_dir / "manifest.tsv")).entries[0].path
+        self.check(["export-attn", "--checkpoint", str(trained_dir / "model.ckpt"), "--sequence", seq,
+                    "--site", "Fusion", "--out", str(a_file)], a_file, capsys)
 
 
 def test_module_entry_point_runs():

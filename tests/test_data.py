@@ -305,6 +305,17 @@ class TestManifest:
         with pytest.raises(ParseError, match="quality"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("header", [
+        ["classes=4", "joints=22", "classes=3"],
+        ["classes=2", "joints=22", "joints=22"],
+        ["classes=2", "partition=shrec22", "joints=22", "partition=fpha21"],
+    ], ids=["classes", "joints", "partition"])
+    def test_repeated_header_names_its_line(self, tmp_path, header):
+        path = self.write_dataset(tmp_path, header)
+        key = header[-1].split("=")[0]
+        with pytest.raises(ParseError, match=rf"manifest\.tsv:{len(header)}: manifest header '{key}' repeats line"):
+            load_manifest(path)
+
     def test_label_out_of_range(self, tmp_path):
         path = self.write_dataset(tmp_path, ["classes=1", "joints=22"])
         with pytest.raises(ParseError):

@@ -3,8 +3,7 @@ import pytest
 
 from han.data import SkeletonSequence
 from han.errors import ConfigError, DataError, UsageError
-from han.estimator import HANClassifier
-from han.validation import as_sequence_list
+from han.estimator import HANClassifier, as_sequence_list
 
 from conftest import TOY_PARTITION
 

@@ -83,13 +83,12 @@ class TestForwardBasics:
 
     def test_shared_blocks_are_identical_objects(self):
         model = HANModel(tiny_config(), seed=2)
-        for p in range(6):
-            assert model.j_att_for_part(p) is model.j_att_for_part(0)
+        assert len(model.j_att) == 1  # every part's joint site runs this one block
         assert len(model.t_att) == 1  # every stream's temporal site runs this one block
 
     def test_unshared_blocks_are_distinct(self):
         model = HANModel(tiny_config(share_j_att=False, share_t_att=False), seed=2)
-        assert len({id(model.j_att_for_part(p)) for p in range(6)}) == 6
+        assert len({id(block) for block in model.j_att}) == 6
         assert len({id(block) for block in model.t_att}) == 7
         names = [n for n, _ in model.parameters()]
         assert len(names) == len(set(names))
@@ -397,14 +396,19 @@ class TestPermutationSymmetries:
 
     def test_stream_permutation_without_pe(self):
         # permuting the fusion inputs directly exercises the 7-stream level
-        from han.model import _fusion_stage
+        from han.model import _attend_site
         from han import autodiff as ad
 
         model = self.no_pe_model()
+
+        def fuse(stream_feats):  # the fusion site alone, in eval mode
+            return _attend_site(model, ("Fusion",), stream_feats, model.fusion_att, model.config.pe_fusion,
+                                False, None, None).data
+
         streams = ad.constant(RS.uniform(-1, 1, (7, 6)), dtype=np.float64)
-        base = _fusion_stage(model, ad.reshape(streams, (1, 7, 6)), False, None, None).data
+        base = fuse(ad.reshape(streams, (1, 7, 6)))
         perm = RS.permutation(7)
-        moved = _fusion_stage(model, ad.constant(streams.data[perm][None]), False, None, None).data
+        moved = fuse(ad.constant(streams.data[perm][None]))
         assert np.max(np.abs(base - moved)) < 1e-5
 
     def test_frame_permutation_with_pe_changes_logits(self):
@@ -463,6 +467,20 @@ class TestExtractAttention:
             extract_attention(x, model, "F")  # missing frame
         with pytest.raises(UsageError):
             extract_attention(x, model, "T", stream=9)
+
+    @pytest.mark.parametrize("site, selectors, message", [
+        ("J", {"frame": 0}, "site 'J' needs the part selector"),
+        ("J", {"part": 6, "frame": 0}, r"part selector 6 out of range \[0, 6\)"),
+        ("J", {"part": 0}, "site 'J' needs the frame selector"),
+        ("F", {"frame": 3}, r"frame selector 3 out of range \[0, 3\)"),
+        ("T", {}, "site 'T' needs the stream selector"),
+        ("T", {"stream": 7}, r"stream selector 7 out of range \[0, 7\)"),
+    ])
+    def test_bad_selector_raises_before_the_forward(self, monkeypatch, site, selectors, message):
+        config, model = self.make()
+        monkeypatch.setattr("han.model.forward", lambda *args, **kw: pytest.fail("the forward ran first"))
+        with pytest.raises(UsageError, match=message):
+            extract_attention(rand_frames(config), model, site, **selectors)
 
 
 class TestCheckpoint:
