@@ -44,7 +44,7 @@ from .train import (
     adam_step,
     cross_entropy,
     evaluate,
-    train,
+    train_loop,
 )
 
 __version__ = "0.1.0"
@@ -86,5 +86,5 @@ __all__ = [
     "adam_step",
     "cross_entropy",
     "evaluate",
-    "train",
+    "train_loop",
 ]

@@ -25,7 +25,7 @@ from .errors import ShapeError, UsageError
 
 DEFAULT_DTYPE = np.float32
 
-DTYPES = (np.float32, np.float64)  # what a tensor may hold; anything else becomes DEFAULT_DTYPE
+DTYPES = (np.float32, np.float64)  # what a tensor may hold
 
 
 class Tensor:
@@ -36,7 +36,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype.type not in DTYPES:
-            arr = arr.astype(DEFAULT_DTYPE)
+            raise UsageError(f"a tensor holds float32 or float64 values, got {arr.dtype}")
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None

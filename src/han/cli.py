@@ -22,7 +22,7 @@ from .errors import CheckpointError, ConfigError, DataError, HanError, UsageErro
 from .model import HANModel, SITES, extract_attention, load_checkpoint, save_checkpoint
 from .profile import cost_report
 from .synth import SynthConfig, generate_dataset
-from .train import evaluate, train, write_confusion_csv, write_training_log
+from .train import evaluate, train_loop, write_confusion_csv, write_training_log
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -105,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_attn = sub.add_parser("export-attn", help="export attention matrices for one sequence")
     p_attn.add_argument("--checkpoint", required=True)
     p_attn.add_argument("--sequence", required=True, help="sequence file")
-    p_attn.add_argument("--site", required=True)
+    p_attn.add_argument("--site", required=True, choices=SITES)
     p_attn.add_argument("--frame", type=int)
     p_attn.add_argument("--part", type=int)
     p_attn.add_argument("--stream", type=int)
@@ -128,8 +128,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         values["partition"] = dataset.partition
     config, train_config = build_configs(values)
     model = HANModel(config, seed=train_config.seed)
-    os.makedirs(args.out, exist_ok=True)  # an unusable --out fails here, not after the run
-    result = train(dataset, model, train_config)
+    train_seqs, val_seqs = dataset.load_split("train"), dataset.load_split("test")
+    os.makedirs(args.out, exist_ok=True)  # after the data is read, before the run: an unusable --out fails here
+    result = train_loop(train_seqs, val_seqs, model, train_config)
     save_checkpoint(result.model, os.path.join(args.out, "model.ckpt"))
     write_training_log(os.path.join(args.out, "train.log"), result)
     print(f"epochs={len(result.epochs)} train_acc={result.final_train_acc:.4f} "
@@ -176,14 +177,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_export_attn(args: argparse.Namespace) -> int:
-    if args.site not in SITES:
-        raise UsageError(f"--site must be one of {', '.join(SITES)}; got '{args.site}'")
     model = load_checkpoint(args.checkpoint)
-    seq = parse_sequence(args.sequence, model.config.joint_count)
-    seq = uniform_sample(seq, model.config.frames)
-    maps = extract_attention(
-        seq, model, args.site, frame=args.frame, part=args.part, stream=args.stream
-    )
+    seq = uniform_sample(parse_sequence(args.sequence, model.config.joint_count), model.config.frames)
+    maps = extract_attention(seq, model, args.site, frame=args.frame, part=args.part, stream=args.stream)
     os.makedirs(args.out, exist_ok=True)
 
     def write_matrix(name: str, matrix: np.ndarray) -> None:

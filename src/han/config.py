@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .attention import AttentionConfig
 from .data import (MAX_CLASSES, MAX_FRAMES, SHREC22, AugmentationConfig, HandPartition,
-                   default_partition, resolve_partition)
+                   default_partition, is_integer, resolve_partition)
 from .errors import ConfigError
 
 
@@ -90,6 +90,7 @@ class TrainConfig:
 
 # fields holding a nested config, whose own fields the flat views inline
 _NESTED = {"attention": AttentionConfig, "augmentation": AugmentationConfig}
+_HINTS = {cls: typing.get_type_hints(cls) for cls in (HANConfig, TrainConfig, *_NESTED.values())}
 
 
 def _flatten(config) -> dict:
@@ -102,13 +103,22 @@ def _flatten(config) -> dict:
 
 
 def _unflatten(cls, values: Mapping):
-    """A cls instance from flat field values; a nested config absent from them is built from them."""
+    """A cls instance from flat field values; a nested config absent from them is built from them.
+
+    Every flat mapping becomes a config here, so this is where a count is checked: an
+    `int` or `int | None` field takes an integer (a bool is not one), stored as int.
+    """
+    hints = _HINTS[cls]
     kwargs = {}
     for f in dataclasses.fields(cls):
-        if f.name in values or f.name not in _NESTED:
-            kwargs[f.name] = values[f.name]
-        else:
+        if f.name not in values and f.name in _NESTED:
             kwargs[f.name] = _unflatten(_NESTED[f.name], values)
+            continue
+        value = kwargs[f.name] = values[f.name]
+        if hints[f.name] == int or hints[f.name] == int | None and value is not None:
+            if not is_integer(value):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            kwargs[f.name] = int(value)
     return cls(**kwargs)
 
 
@@ -133,7 +143,7 @@ _STAND_INS = {
 
 def _flat_keys(cls):
     """(flat key, type, default) for every field of a config class, in field order."""
-    hints = typing.get_type_hints(cls)
+    hints = _HINTS[cls]
     defaults = cls()
     for f in dataclasses.fields(cls):
         yield from _STAND_INS.get(f.name, ())

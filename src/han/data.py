@@ -35,6 +35,11 @@ MAX_FRAMES = 4_096
 PART_COUNT = 6  # hand parts in every partition
 
 
+def is_integer(value) -> bool:
+    """An int or a numpy integer, never a bool: what a count or an index must be."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class HandPartition:
     """Assignment of every joint index to one of 6 hand parts."""
@@ -59,6 +64,10 @@ class HandPartition:
         if seen != expected:
             raise ConfigError(f"partition does not cover joints {sorted(expected - seen)}; "
                               f"indices {sorted(seen - expected)} are out of range for {len(seen)} joints")
+        for j in chain.from_iterable(self.parts):  # 2.0 covers joint 2, so this comes after the coverage check
+            if not is_integer(j):
+                raise ConfigError(f"joint index {j!r} in partition is not an integer")
+        object.__setattr__(self, "parts", tuple(tuple(map(int, part)) for part in self.parts))  # numpy ints as int
 
     @property
     def joint_count(self) -> int:
@@ -322,11 +331,7 @@ class Dataset:
         return [e for e in self.entries if e.split == split]
 
     def load_split(self, split: str) -> list[SkeletonSequence]:
-        out = []
-        for entry in self.split_entries(split):
-            seq = parse_sequence(entry.path, self.joint_count, label=entry.label)
-            out.append(seq)
-        return out
+        return [parse_sequence(e.path, self.joint_count, label=e.label) for e in self.split_entries(split)]
 
 
 def load_manifest(path: str) -> Dataset:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import io
 import json
-import operator
 import os
 import secrets
 import struct
@@ -40,7 +39,7 @@ from . import autodiff as ad
 from .attention import AttentionParams, attend_batch, param_table, positional_embedding
 from .autodiff import Tensor
 from .config import HANConfig
-from .data import PART_COUNT, SkeletonSequence
+from .data import PART_COUNT, SkeletonSequence, is_integer
 from .errors import CheckpointError, ConfigError, DataError, UsageError
 from .rng import Rng
 
@@ -102,8 +101,7 @@ def _parameter_table(config: HANConfig) -> list[tuple[str, tuple[int, ...], floa
     """Every learnable tensor's name, shape and uniform init bound, in registry order.
 
     A bound of 0 starts the tensor at zero. The constructor draws by this
-    table and `load_checkpoint` reads by it; a count that is not an integer
-    raises TypeError.
+    table and `load_checkpoint` reads by it.
     """
     d, c = config.attention.d_model, config.class_count
     table = [("joint.w", (d, 3), 1.0 / np.sqrt(3)), ("joint.b", (d,), 0.0)]
@@ -112,7 +110,7 @@ def _parameter_table(config: HANConfig) -> list[tuple[str, tuple[int, ...], floa
     # the head starts 10x smaller than the fan-in rule so the initial
     # predictor is near-uniform and the first loss sits at log(class_count)
     table += [("cls.w", (c, d), 0.1 / np.sqrt(d)), ("cls.b", (c,), 0.0)]
-    return [(name, tuple(operator.index(n) for n in shape), bound) for name, shape, bound in table]
+    return table
 
 
 def _batch_array(seqs, model: HANModel) -> np.ndarray:
@@ -196,8 +194,6 @@ def probabilities(seqs, model: HANModel) -> np.ndarray:
     A sequence whose forward overflows gets a row that is not finite;
     `evaluate` reports it, and `predict` passes it on.
     """
-    if len(seqs) == 0:
-        raise UsageError("probabilities needs at least one sequence")
     frames = _batch_array(seqs, model)  # checked whole, so an error names the row in `seqs`
     logits = np.concatenate([
         forward(frames[start:start + EVAL_CHUNK], model).data.astype(np.float64)
@@ -238,6 +234,8 @@ def extract_attention(seq, model: HANModel, site: str, *, frame: int | None = No
     def need(value, name, bound):
         if value is None:
             raise UsageError(f"site '{site}' needs the {name} selector")
+        if not is_integer(value):
+            raise UsageError(f"{name} selector must be an integer, got {value!r}")
         if not 0 <= value < bound:
             raise UsageError(f"{name} selector {value} out of range [0, {bound})")
         return value
@@ -335,10 +333,7 @@ def load_checkpoint(path: str) -> HANModel:
         raise CheckpointError(f"{path}: tensor dtype {dtype_name!r} is not one of {', '.join(_DTYPES)}")
     dtype = np.dtype(dtype_name)
 
-    try:  # a fractional count, which the config checks let through
-        expected = {name: shape for name, shape, _ in _parameter_table(config)}
-    except TypeError as exc:
-        raise CheckpointError(f"{path}: invalid checkpoint config: {exc}") from exc
+    expected = {name: shape for name, shape, _ in _parameter_table(config)}
     (count,) = struct.unpack("<I", read_exact(4, "tensor count"))
     if count != len(expected):
         raise CheckpointError(f"{path}: checkpoint has {count} tensors, config implies {len(expected)}")
@@ -370,8 +365,5 @@ def load_checkpoint(path: str) -> HANModel:
     if trailing:
         raise CheckpointError(f"{path}: {trailing} trailing bytes after the last tensor")
     model = HANModel.__new__(HANModel)
-    try:
-        model._build(config, dtype, lambda name, shape, bound: tensors[name])
-    except TypeError as exc:  # a fractional frame count, met by the position table
-        raise CheckpointError(f"{path}: invalid checkpoint config: {exc}") from exc
+    model._build(config, dtype, lambda name, shape, bound: tensors[name])
     return model

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import GradientTape, Tensor
 from .config import TrainConfig
-from .data import Dataset, SkeletonSequence, augment, uniform_sample
+from .data import SkeletonSequence, augment, uniform_sample
 from .errors import ConfigError, UsageError
 from .model import HANModel, forward, probabilities
 from .rng import Rng
@@ -183,17 +183,13 @@ class TrainResult:
     final_val_acc: float
 
 
-def train(dataset: Dataset, model: HANModel, config: TrainConfig) -> TrainResult:
-    """Run the full schedule on a dataset's train split; see module docstring."""
-    return train_loop(dataset.load_split("train"), dataset.load_split("test"), model, config)
-
-
 def train_loop(
     train_seqs: list[SkeletonSequence],
     val_seqs: list[SkeletonSequence],
     model: HANModel,
     config: TrainConfig,
 ) -> TrainResult:
+    """Run the full schedule on `train_seqs`; `val_seqs`, when given, is the plateau metric's split."""
     if not train_seqs:
         raise UsageError("training split is empty")
     named = model.parameters()

@@ -23,7 +23,7 @@ from han.model import (
     _attend_site,
 )
 from han.profile import count_flops, count_params
-from han.train import ScheduleState, TrainConfig, cross_entropy, train
+from han.train import ScheduleState, TrainConfig, cross_entropy, train_loop
 from han.cli import main as cli_main
 
 from conftest import TOY_PARTITION, tiny_config
@@ -201,7 +201,8 @@ def test_criterion_07_end_to_end_learning(synth_dataset):
     start = time.time()
     ds = load_manifest(str(synth_dataset / "manifest.tsv"))
     model = HANModel(HANConfig(class_count=4, partition=ds.partition), seed=7)
-    result = train(ds, model, TrainConfig(seed=7))  # default schedule throughout
+    result = train_loop(ds.load_split("train"), ds.load_split("test"), model,
+                        TrainConfig(seed=7))  # default schedule throughout
     elapsed = time.time() - start
     assert result.final_train_acc >= 0.99
     assert result.final_val_acc >= 0.90
@@ -258,7 +259,7 @@ def test_criterion_10_ablation_harness(synth_dataset):
         model = HANModel(HANConfig(class_count=4, partition=ds.partition, **kw), seed=3)
         config = TrainConfig(batch_size=16, warmup_epochs=1, plateau_patience=1,
                              max_decays=1, seed=3, max_epochs=2)
-        result = train(ds, model, config)
+        result = train_loop(ds.load_split("train"), ds.load_split("test"), model, config)
         assert len(result.epochs) == 2
         assert all(math.isfinite(log.train_loss) for log in result.epochs)
     elapsed = time.time() - start

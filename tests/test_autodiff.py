@@ -35,6 +35,18 @@ def check_grad(build_loss, leaves, rtol=1e-4):
         assert max_relative_error(got, want) < rtol, f"gradient mismatch on shape {leaf.shape}"
 
 
+class TestTensorDtype:
+    @pytest.mark.parametrize("data, dtype, name", [
+        (np.zeros(3, dtype=np.float16), None, "float16"),
+        (np.zeros(3), np.float16, "float16"),
+        ([1, 2], None, "int64"),
+        (np.zeros(3, dtype=bool), None, "bool"),
+    ])
+    def test_other_dtypes_rejected(self, data, dtype, name):
+        with pytest.raises(UsageError, match=f"a tensor holds float32 or float64 values, got {name}"):
+            Tensor(data, dtype=dtype)
+
+
 class TestMatmul:
     def test_identity(self):
         a = Tensor(np.eye(2))

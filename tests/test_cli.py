@@ -1,5 +1,7 @@
+import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import warnings
@@ -132,6 +134,18 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert f"{manifest}:3: manifest header 'classes' repeats line 1" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    def test_malformed_first_sequence_exits_3_writing_nothing(self, tmp_path, dataset_dir, capsys):
+        shutil.copytree(dataset_dir, tmp_path / "d")
+        manifest = tmp_path / "d" / "manifest.tsv"
+        first = load_manifest(str(manifest)).split_entries("train")[0].path
+        with open(first, "w") as fh:
+            fh.write("1 2 3\n")
+        out = tmp_path / "o"
+        assert main(["train", "--manifest", str(manifest), "--out", str(out)] + FAST_TRAIN) == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: {first}:1: expected 66 values for 22 joints, found 3\n"
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path, dataset_dir):
         a, b = tmp_path / "r1", tmp_path / "r2"
@@ -316,6 +330,36 @@ class TestEvalCommand:
                      "--manifest", str(other / "manifest.tsv")])
         assert code == 2
 
+    def test_joint_count_mismatch_exits_2(self, trained_dir, tmp_path, capsys):
+        other = tmp_path / "other"
+        assert main(synth_args(other) + ["--joints", "21"]) == 0
+        code = main(["eval", "--checkpoint", str(trained_dir / "model.ckpt"),
+                     "--manifest", str(other / "manifest.tsv")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: checkpoint expects 22 joints, manifest declares 21\n"
+
+    def test_empty_split_exits_3(self, trained_dir, dataset_dir, tmp_path, capsys):
+        entries = load_manifest(str(dataset_dir / "manifest.tsv")).split_entries("train")
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("classes=3\njoints=22\n" + "".join(f"{e.path}\t{e.label}\ttrain\n" for e in entries))
+        code = main(["eval", "--checkpoint", str(trained_dir / "model.ckpt"), "--manifest", str(manifest)])
+        assert code == 3
+        assert capsys.readouterr().err == "data error: manifest has no 'test' entries\n"
+
+    def test_whole_number_float_joint_in_partition_echo_exits_2(self, trained_dir, dataset_dir, tmp_path, capsys):
+        blob = (trained_dir / "model.ckpt").read_bytes()
+        start = len(b"HAN-CKPT v1\n") + 4
+        end = start + struct.unpack("<I", blob[start - 4:start])[0]
+        echo = json.loads(blob[start:end])
+        echo["partition_parts"][0][0] = 2.0
+        payload = json.dumps(echo, sort_keys=True, separators=(",", ":")).encode()
+        bad = tmp_path / "floats.ckpt"
+        bad.write_bytes(blob[:start - 4] + struct.pack("<I", len(payload)) + payload + blob[end:])
+        code = main(["eval", "--checkpoint", str(bad), "--manifest", str(dataset_dir / "manifest.tsv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: invalid checkpoint config: joint index 2.0 in partition is not an integer\n"
+
 
 class TestProfileCommand:
     def test_defaults_print_exact_count(self, capsys):
@@ -414,7 +458,7 @@ class TestUnusableOutputPath:
         self.check(synth_args(a_file), a_file, capsys)
 
     def test_train_out_is_a_file_fails_before_training(self, a_file, dataset_dir, capsys, monkeypatch):
-        monkeypatch.setattr("han.cli.train", lambda *args: pytest.fail("trained before making --out"))
+        monkeypatch.setattr("han.cli.train_loop", lambda *args: pytest.fail("trained before making --out"))
         self.check(["train", "--manifest", str(dataset_dir / "manifest.tsv"), "--out", str(a_file)] + FAST_TRAIN,
                    a_file, capsys)
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -66,6 +67,25 @@ class TestPartitions:
     def test_fractional_index_rejected(self):
         with pytest.raises(ConfigError, match=r"cover joints \[1\]"):
             HandPartition(parts=((0,), (1.5,), (2,), (3,), (4,), (5,)))
+
+    @pytest.mark.parametrize("index", [1.0, True, np.float64(1.0)])
+    def test_whole_number_index_that_is_not_an_integer_rejected(self, index):
+        with pytest.raises(ConfigError, match=re.escape(f"joint index {index!r} in partition is not an integer")):
+            HandPartition(parts=((0,), (index,), (2,), (3,), (4,), (5,)))
+
+    def test_numpy_integer_index_stored_as_int(self):
+        partition = HandPartition(parts=((0,), (np.int64(1),), (2,), (3,), (4,), (np.uint8(5),)))
+        assert partition.parts == tuple((j,) for j in range(6))
+        assert all(type(j) is int for part in partition.parts for j in part)
+
+    @pytest.mark.parametrize("parts, message", [
+        (((0,), (1,), (2,), (3,), (4,)), "partition needs exactly 6 parts, got 5"),
+        (((0,), (1,), (2,), (3,), (4,), ()), "every partition part needs at least one joint"),
+        (((0,), (1,), (2,), (3,), (4,), (-1,)), "negative joint index -1 in partition"),
+    ], ids=["part-count", "empty-part", "negative-index"])
+    def test_malformed_parts(self, parts, message):
+        with pytest.raises(ConfigError, match=message):
+            HandPartition(parts=parts)
 
     def test_partition_file_roundtrip(self, tmp_path):
         path = tmp_path / "parts.txt"
@@ -211,6 +231,17 @@ class TestUniformSample:
         assert out.frame_count == 8
         assert np.all(out.frames == seq.frames[0])
 
+    @pytest.mark.parametrize("target", [0, -3])
+    def test_target_below_one_rejected(self, target):
+        with pytest.raises(ConfigError, match=f"target_frames must be >= 1, got {target}"):
+            uniform_sample(make_seq(t=5), target)
+
+    def test_one_frame_target_keeps_the_first_frame(self):
+        seq = make_seq(t=5)
+        out = uniform_sample(seq, 1)
+        assert out.frame_count == 1 and out.label == seq.label
+        assert np.array_equal(out.frames[0], seq.frames[0])
+
     def test_short_sequences_interpolate(self):
         frames = np.zeros((2, 4, 3))
         frames[1] = 1.0
@@ -333,4 +364,35 @@ class TestManifest:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("s0.txt\t0\tvalid\n")
         with pytest.raises(ParseError, match="split"):
+            load_manifest(path)
+
+    def test_non_integer_label_names_manifest_and_line(self, tmp_path):
+        path = self.write_dataset(tmp_path, ["classes=2", "joints=22"])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("s0.txt\tone\ttrain\n")
+        with pytest.raises(ParseError, match=r"manifest\.tsv:7: non-integer label 'one'"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("header", [["classes=2.0", "joints=22"], ["classes=2", "joints=many"]])
+    def test_non_integer_header_value_names_manifest(self, tmp_path, header):
+        path = self.write_dataset(tmp_path, header)
+        with pytest.raises(ParseError, match=r"manifest\.tsv: non-integer manifest header value"):
+            load_manifest(path)
+
+    def test_partition_contradicting_joints_names_manifest(self, tmp_path):
+        path = self.write_dataset(tmp_path, ["classes=2", "joints=22", "partition=fpha21"])
+        message = r"manifest\.tsv: partition 'fpha21' covers 21 joints, manifest declares 22"
+        with pytest.raises(ParseError, match=message):
+            load_manifest(path)
+
+    def test_no_entries_names_manifest(self, tmp_path):
+        path = self.write_dataset(tmp_path, ["classes=2", "joints=22"], n=0)
+        with pytest.raises(ParseError, match=r"manifest\.tsv: manifest lists no sequences"):
+            load_manifest(path)
+
+    def test_label_beyond_class_count_names_manifest(self, tmp_path):
+        path = self.write_dataset(tmp_path, ["classes=2", "joints=22"])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("s0.txt\t5\ttrain\n")
+        with pytest.raises(ParseError, match=r"manifest\.tsv: label 5 out of range for 2 classes"):
             load_manifest(path)

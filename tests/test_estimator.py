@@ -4,6 +4,7 @@ import pytest
 from han.data import SkeletonSequence
 from han.errors import ConfigError, DataError, UsageError
 from han.estimator import HANClassifier, as_sequence_list
+from han.model import load_checkpoint, save_checkpoint
 
 from conftest import TOY_PARTITION
 
@@ -117,6 +118,68 @@ class TestInputValidation:
     def test_label_length_mismatch(self):
         with pytest.raises(UsageError):
             fast_estimator().fit([np.zeros((4, 6, 3))], np.array([0, 1]))
+
+    def test_x_neither_list_nor_array_rejected(self):
+        with pytest.raises(UsageError, match=r"X must be a list of \(T, J, 3\) arrays or a single \(n, T, J, 3\)"):
+            fast_estimator().fit(np.zeros((4, 6, 3)), np.array([0]))
+
+    def test_empty_x_rejected(self):
+        with pytest.raises(UsageError, match="X is empty"):
+            fast_estimator().fit([], np.array([], dtype=int))
+
+    @pytest.mark.parametrize("y", [["a", "b"] * 3, [None, 1] * 3], ids=["text", "none"])
+    def test_labels_that_are_not_numbers(self, y):
+        X, labels = toy_xy(n_per_class=2)
+        with pytest.raises(UsageError, match="y must contain integer class labels"):
+            fast_estimator().fit(X, y)
+        est = fast_estimator(max_epochs=1).fit(X, labels)
+        with pytest.raises(UsageError, match="y must contain integer class labels"):
+            est.score(X, y)
+
+    def test_fractional_labels_rejected(self):
+        X, y = toy_xy(n_per_class=2)
+        with pytest.raises(UsageError, match="y must contain integer class labels"):
+            fast_estimator().fit(X, y + 0.5)
+
+    def test_whole_number_float_labels_accepted(self):
+        X, y = toy_xy(n_per_class=2)
+        est = fast_estimator(max_epochs=1).fit(X, y.astype(np.float64))
+        assert est.classes_.dtype == np.int64 and est.classes_.tolist() == [1, 11, 21]
+        assert est.predict(X).dtype == np.int64
+
+    def test_predict_with_another_joint_count_rejected(self):
+        X, y = toy_xy(n_per_class=2)
+        est = fast_estimator(max_epochs=1).fit(X, y)
+        with pytest.raises(UsageError, match="expected 6 joints, got 7"):
+            est.predict([np.zeros((4, 7, 3))])
+
+    def test_one_4d_array_is_the_list_of_its_rows(self):
+        X, y = toy_xy(n_per_class=2)
+        est = fast_estimator(max_epochs=1).fit(np.stack(X), y)
+        assert len(est.history_) == 1
+        assert np.array_equal(est.predict_proba(np.stack(X)), est.predict_proba(X))
+
+
+class TestIntegerParameters:
+    """An integer parameter is checked where its config is built, so a
+    fraction or a bool fails in `fit` with a ConfigError naming it."""
+
+    @pytest.mark.parametrize("name, value", [("frames", 2.5), ("batch_size", 2.5), ("seed", 1.5),
+                                             ("n_heads", True), ("max_epochs", 1.0), ("d_model", "8")])
+    def test_non_integer_rejected_naming_the_field(self, name, value):
+        X, y = toy_xy(n_per_class=2)
+        with pytest.raises(ConfigError, match=f"{name} must be an integer, got {value!r}"):
+            fast_estimator(**{name: value}).fit(X, y)
+
+    def test_numpy_integers_are_stored_as_int(self, tmp_path):
+        X, y = toy_xy(n_per_class=2)
+        est = fast_estimator(frames=np.int64(4), batch_size=np.int32(8), seed=np.int64(3),
+                             max_epochs=np.int64(1), d_model=np.int16(8)).fit(X, y)
+        config = est.model_.config
+        assert type(config.frames) is int and type(config.attention.d_model) is int
+        assert len(est.history_) == 1
+        save_checkpoint(est.model_, str(tmp_path / "m.ckpt"))  # the config echo is plain JSON
+        assert load_checkpoint(str(tmp_path / "m.ckpt")).config == config
 
 
 class TestPredictUsesFittedGeometry:

@@ -16,6 +16,7 @@ from han.model import (
     forward,
     load_checkpoint,
     predict,
+    probabilities,
     save_checkpoint,
 )
 from han.rng import Rng
@@ -214,6 +215,10 @@ class TestPredict:
         with np.errstate(over="ignore", invalid="ignore"):
             _, probs = predict(rand_frames(config), model)
         assert not np.isfinite(probs).all()
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(UsageError, match="forward takes a batch of one or more"):
+            probabilities([], HANModel(tiny_config(), seed=6))
 
 
 class TestGradients:
@@ -482,6 +487,24 @@ class TestExtractAttention:
         with pytest.raises(UsageError, match=message):
             extract_attention(rand_frames(config), model, site, **selectors)
 
+    @pytest.mark.parametrize("selectors, message", [
+        ({"frame": 1.5}, "frame selector must be an integer, got 1.5"),
+        ({"frame": True}, "frame selector must be an integer, got True"),
+        ({"frame": 0, "part": 2.0}, "part selector must be an integer, got 2.0"),
+    ])
+    def test_non_integer_selector_raises_before_the_forward(self, monkeypatch, selectors, message):
+        config, model = self.make()
+        site = "J" if "part" in selectors else "F"
+        monkeypatch.setattr("han.model.forward", lambda *args, **kw: pytest.fail("the forward ran first"))
+        with pytest.raises(UsageError, match=message):
+            extract_attention(rand_frames(config), model, site, **selectors)
+
+    def test_numpy_integer_selector_accepted(self):
+        config, model = self.make()
+        x = rand_frames(config)
+        assert np.array_equal(extract_attention(x, model, "F", frame=np.int64(1)).per_head,
+                              extract_attention(x, model, "F", frame=1).per_head)
+
 
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
@@ -603,6 +626,120 @@ class TestCheckpointRejects:
         save_checkpoint(model, path)
         with pytest.raises(CheckpointError, match=r"nonfinite\.ckpt.*'cls\.b'.*non-finite"):
             load_checkpoint(path)
+
+    def test_numpy_integer_partition_round_trips(self, tmp_path):
+        partition = HandPartition(parts=tuple((np.int64(j),) for j in range(6)), name="np6")
+        path = str(tmp_path / "np.ckpt")
+        save_checkpoint(HANModel(tiny_config(partition=partition), seed=8), path)
+        assert load_checkpoint(path).config.partition == partition
+
+
+class TestCheckpointRecords:
+    """Each check on the tensor records names the file."""
+
+    @staticmethod
+    def split(blob: bytes):
+        """(bytes before the tensor count, [(name, dims, payload), ...]) of a checkpoint."""
+        magic = b"HAN-CKPT v1\n"
+        (n,) = struct.unpack("<I", blob[len(magic):len(magic) + 4])
+        pos = len(magic) + 4 + n
+        head = blob[:pos]
+        (count,) = struct.unpack("<I", blob[pos:pos + 4])
+        pos += 4
+        records = []
+        for _ in range(count):
+            (name_len,) = struct.unpack("<H", blob[pos:pos + 2])
+            name = blob[pos + 2:pos + 2 + name_len].decode()
+            pos += 2 + name_len
+            ndim = blob[pos]
+            dims = struct.unpack(f"<{ndim}I", blob[pos + 1:pos + 1 + 4 * ndim])
+            pos += 1 + 4 * ndim
+            (nbytes,) = struct.unpack("<Q", blob[pos:pos + 8])
+            records.append((name, dims, blob[pos + 8:pos + 8 + nbytes]))
+            pos += 8 + nbytes
+        assert pos == len(blob)
+        return head, records
+
+    @staticmethod
+    def join(head: bytes, records, count=None, nbytes=None) -> bytes:
+        out = head + struct.pack("<I", len(records) if count is None else count)
+        for name, dims, payload in records:
+            out += struct.pack("<H", len(name)) + name.encode() + struct.pack("<B", len(dims))
+            out += struct.pack(f"<{len(dims)}I", *dims)
+            out += struct.pack("<Q", len(payload) if nbytes is None else nbytes) + payload
+        return out
+
+    @pytest.fixture
+    def parts(self, tmp_path):
+        path = str(tmp_path / "good.ckpt")
+        save_checkpoint(HANModel(tiny_config(), seed=8), path)
+        return self.split(open(path, "rb").read())
+
+    def load(self, tmp_path, blob):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(blob)
+        return load_checkpoint(str(path))
+
+    def test_the_split_reassembles_the_file(self, tmp_path, parts):
+        assert self.load(tmp_path, self.join(*parts)).param_count() == HANModel(tiny_config()).param_count()
+
+    def test_unreadable_file(self, tmp_path):
+        path = tmp_path / "missing.ckpt"
+        with pytest.raises(CheckpointError, match=r"cannot read checkpoint .*missing\.ckpt"):
+            load_checkpoint(str(path))
+
+    def test_tensor_count(self, tmp_path, parts):
+        head, records = parts
+        with pytest.raises(CheckpointError, match=rf"bad\.ckpt: checkpoint has {len(records) + 1} tensors, "
+                                                  rf"config implies {len(records)}"):
+            self.load(tmp_path, self.join(head, records, count=len(records) + 1))
+
+    def test_repeated_tensor(self, tmp_path, parts):
+        head, records = parts
+        with pytest.raises(CheckpointError, match=r"bad\.ckpt: tensor 'joint\.w' appears twice"):
+            self.load(tmp_path, self.join(head, [records[0], records[0]] + records[2:]))
+
+    def test_tensor_shape(self, tmp_path, parts):
+        head, (first, *rest) = parts
+        name, (d, three), payload = first
+        with pytest.raises(CheckpointError, match=r"bad\.ckpt: tensor 'joint\.w' has shape \(3, 8\), "
+                                                  r"config implies \(8, 3\)"):
+            self.load(tmp_path, self.join(head, [(name, (three, d), payload)] + rest))
+
+    def test_payload_length(self, tmp_path, parts):
+        head, records = parts
+        name, dims, payload = records[0]
+        with pytest.raises(CheckpointError, match=r"bad\.ckpt: tensor 'joint\.w' payload is 92 bytes, expected 96"):
+            self.load(tmp_path, self.join(head, [(name, dims, payload[:-4])] + records[1:]))
+
+
+class TestIntegerEcho:
+    """A count or joint index in the config echo that is not an integer is an
+    invalid config, found before any tensor is read."""
+
+    @pytest.fixture
+    def blob(self, tmp_path):
+        path = str(tmp_path / "good.ckpt")
+        save_checkpoint(HANModel(tiny_config(), seed=8), path)
+        return open(path, "rb").read()
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"frames": 2.5}, "frames must be an integer, got 2.5"),
+        ({"frames": 2.0}, "frames must be an integer, got 2.0"),
+        ({"n_heads": True}, "n_heads must be an integer, got True"),
+        ({"partition_parts": [[0], [1], [2.0], [3], [4], [5]]}, "joint index 2.0 in partition is not an integer"),
+    ])
+    def test_rejected_naming_the_field(self, tmp_path, blob, changes, message):
+        path = tmp_path / "typed.ckpt"
+        path.write_bytes(_with_config_echo(blob, **changes))
+        with pytest.raises(CheckpointError, match=rf"typed\.ckpt: invalid checkpoint config: {message}"):
+            load_checkpoint(str(path))
+
+
+class TestModelDtype:
+    def test_float16_rejected_at_construction(self):
+        with pytest.raises(UsageError, match="a tensor holds float32 or float64 values, got float16"):
+            HANModel(HANConfig(), dtype=np.float16)
 
 
 class TestTapeSize:
