@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .config import CONFIG_KEYS, build_configs
-from .data import load_manifest, parse_sequence, read_lines, uniform_sample
+from .data import FLOAT_FORMAT, load_manifest, parse_sequence, read_lines, uniform_sample
 from .errors import CheckpointError, ConfigError, DataError, HanError, UsageError
 from .model import HANModel, SITES, extract_attention, load_checkpoint, save_checkpoint
 from .profile import cost_report
@@ -129,6 +129,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     config, train_config = build_configs(values)
     model = HANModel(config, seed=train_config.seed)
     train_seqs, val_seqs = dataset.load_split("train"), dataset.load_split("test")
+    if not train_seqs:
+        raise DataError("manifest has no 'train' entries")
     os.makedirs(args.out, exist_ok=True)  # after the data is read, before the run: an unusable --out fails here
     result = train_loop(train_seqs, val_seqs, model, train_config)
     save_checkpoint(result.model, os.path.join(args.out, "model.ckpt"))
@@ -185,8 +187,7 @@ def cmd_export_attn(args: argparse.Namespace) -> int:
     def write_matrix(name: str, matrix: np.ndarray) -> None:
         path = os.path.join(args.out, name)
         with open(path, "w", encoding="utf-8") as fh:
-            for row in np.atleast_2d(matrix):
-                fh.write(",".join(format(float(v), ".9g") for v in row) + "\n")
+            np.savetxt(fh, np.atleast_2d(matrix), fmt=FLOAT_FORMAT, delimiter=",")  # 1-D frame sums: one row
 
     write_matrix("head_avg.csv", maps.head_avg)
     for h in range(maps.per_head.shape[0]):

@@ -33,6 +33,7 @@ MAX_CLASSES = 65_536
 MAX_FRAMES = 4_096
 
 PART_COUNT = 6  # hand parts in every partition
+FLOAT_FORMAT = "%.9g"  # sequence files and attention CSVs: 9 significant digits round-trip float32
 
 
 def is_integer(value) -> bool:
@@ -231,10 +232,8 @@ def _parse_lines(path: str, lines: list[str], joint_count: int, label: int) -> S
 
 def write_sequence(seq: SkeletonSequence, path: str) -> None:
     """Write the sequence file form; values at 9 significant digits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for frame in seq.frames:
-            fh.write(" ".join(format(float(v), ".9g") for v in frame.reshape(-1)))
-            fh.write("\n")
+    with open(path, "w", encoding="utf-8") as fh:  # a handle: savetxt would gzip a str path ending in .gz
+        np.savetxt(fh, seq.frames.reshape(seq.frame_count, -1), fmt=FLOAT_FORMAT)
 
 
 def uniform_sample(seq: SkeletonSequence, target_frames: int) -> SkeletonSequence:

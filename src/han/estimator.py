@@ -62,7 +62,8 @@ def as_label_array(y, n_samples: int) -> np.ndarray:
     if arr.ndim != 1 or arr.shape[0] != n_samples:
         raise UsageError(f"y must be a flat array of {n_samples} labels, got shape {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
-        cast = arr.astype(np.int64) if arr.dtype.kind in "bf" else None  # never text, None or objects
+        with np.errstate(invalid="ignore"):  # nan, inf or beyond int64: the comparison below rejects it
+            cast = arr.astype(np.int64) if arr.dtype.kind in "bf" else None  # never text, None or objects
         if cast is None or not np.array_equal(cast, arr):
             raise UsageError("y must contain integer class labels")
         arr = cast

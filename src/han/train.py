@@ -180,7 +180,7 @@ class TrainResult:
     model: HANModel
     epochs: list[EpochLog]
     final_train_acc: float
-    final_val_acc: float
+    final_val_acc: float  # the last epoch's val_acc: its pass saw the final weights
 
 
 def train_loop(
@@ -254,8 +254,8 @@ def train_loop(
     if final_train.first_non_finite is not None:  # the last epoch's steps overflow the forward
         raise ConfigError(f"the forward of training sequence {final_train.first_non_finite} overflows after "
                           f"epoch {epoch - 1} with lr {lr:.8g}; lower lr_init")
-    final_val = evaluate(model, val_seqs).accuracy if val_seqs else math.nan
-    return TrainResult(model=model, epochs=logs, final_train_acc=final_train.accuracy, final_val_acc=final_val)
+    return TrainResult(model=model, epochs=logs, final_train_acc=final_train.accuracy,
+                       final_val_acc=logs[-1].val_acc)
 
 
 def write_training_log(path: str, result: TrainResult) -> None:
@@ -269,8 +269,6 @@ def write_training_log(path: str, result: TrainResult) -> None:
 
 def write_confusion_csv(path: str, report: EvalReport) -> None:
     """Confusion counts as CSV with a header row of class labels."""
-    c = report.confusion.shape[0]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(str(i) for i in range(c)) + "\n")
-        for row in report.confusion:
-            fh.write(",".join(str(int(v)) for v in row) + "\n")
+    header = ",".join(map(str, range(report.confusion.shape[0])))
+    with open(path, "w", encoding="utf-8") as fh:  # a handle: savetxt would gzip a str path ending in .gz
+        np.savetxt(fh, report.confusion, fmt="%d", delimiter=",", header=header, comments="")

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from han.cli import main
-from han.data import load_manifest
-from han.model import load_checkpoint, save_checkpoint
+from han.data import load_manifest, parse_sequence, uniform_sample
+from han.model import extract_attention, load_checkpoint, save_checkpoint
 
 FAST_TRAIN = [
     "--d-model", "8", "--heads", "2", "--d-head", "4", "--dropout", "0.0",
@@ -145,6 +145,15 @@ class TestTrainCommand:
         assert main(["train", "--manifest", str(manifest), "--out", str(out)] + FAST_TRAIN) == 3
         err = capsys.readouterr().err
         assert err == f"data error: {first}:1: expected 66 values for 22 joints, found 3\n"
+        assert not out.exists()
+
+    def test_manifest_without_train_entries_exits_3_writing_nothing(self, tmp_path, capsys):
+        data, out = tmp_path / "d", tmp_path / "o"
+        assert main(synth_args(data, classes=2, per_class=4, seed=1)) == 0
+        manifest = data / "manifest.tsv"
+        manifest.write_text(manifest.read_text().replace("\ttrain\n", "\ttest\n"))
+        assert main(["train", "--manifest", str(manifest), "--out", str(out)] + FAST_TRAIN) == 3
+        assert capsys.readouterr().err == "data error: manifest has no 'train' entries\n"
         assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path, dataset_dir):
@@ -416,6 +425,19 @@ class TestExportAttnCommand:
         sums = np.loadtxt(out / "frame_sums.csv", delimiter=",")
         assert sums.shape == (4,)
         assert sums.sum() == pytest.approx(4.0, abs=1e-5)
+
+    def test_csv_files_hold_the_9_digit_values(self, trained_dir, dataset_dir, tmp_path):
+        seq_path = load_manifest(str(dataset_dir / "manifest.tsv")).entries[0].path
+        out = tmp_path / "attn_t"
+        assert main(["export-attn", "--checkpoint", str(trained_dir / "model.ckpt"),
+                     "--sequence", seq_path, "--site", "T", "--stream", "6", "--out", str(out)]) == 0
+        model = load_checkpoint(str(trained_dir / "model.ckpt"))
+        seq = uniform_sample(parse_sequence(seq_path, 22), model.config.frames)
+        maps = extract_attention(seq, model, "T", stream=6)
+        for name, matrix in (("head_avg.csv", maps.head_avg), ("frame_sums.csv", maps.frame_sums)):
+            rows = np.atleast_2d(matrix).tolist()
+            expected = "".join(",".join(format(v, ".9g") for v in row) + "\n" for row in rows)
+            assert (out / name).read_bytes() == expected.encode()
 
     def test_invalid_site_exits_2(self, trained_dir, dataset_dir):
         ds = load_manifest(str(dataset_dir / "manifest.tsv"))

@@ -201,6 +201,16 @@ class TestSequenceIO:
         assert flat[66] == float(token) == value
         assert np.all(np.delete(flat, 66) == 0.5)
 
+    @pytest.mark.parametrize("name", ["seq.txt", "seq.txt.gz"])
+    def test_writes_each_frame_as_its_9_digit_values(self, tmp_path, name):
+        # a name ending in .gz is still written as plain text
+        values = [-0.0, 1e-05, 0.1, 123456789.5, 1e16, float(np.finfo(np.float32).max), 5e-324, 2.5, -7.0]
+        frames = np.array([values, values[::-1]]).reshape(2, 3, 3)
+        path = tmp_path / name
+        write_sequence(SkeletonSequence(frames=frames, label=0), str(path))
+        expected = "".join(" ".join(format(v, ".9g") for v in row) + "\n" for row in frames.reshape(2, -1).tolist())
+        assert path.read_bytes() == expected.encode()
+
     def test_roundtrip_through_text(self, tmp_path):
         seq = make_seq(t=3, j=21)
         first = tmp_path / "a.txt"

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from han.data import SkeletonSequence
 from han.errors import ConfigError, DataError, UsageError
-from han.estimator import HANClassifier, as_sequence_list
+from han.estimator import HANClassifier, as_label_array, as_sequence_list
 from han.model import load_checkpoint, save_checkpoint
 
 from conftest import TOY_PARTITION
@@ -135,6 +137,13 @@ class TestInputValidation:
         est = fast_estimator(max_epochs=1).fit(X, labels)
         with pytest.raises(UsageError, match="y must contain integer class labels"):
             est.score(X, y)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e300], ids=["inf", "nan", "beyond-int64"])
+    def test_non_finite_or_huge_float_labels_fail_without_a_warning(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UsageError, match="y must contain integer class labels"):
+                as_label_array(np.array([bad, 1.0]), 2)
 
     def test_fractional_labels_rejected(self):
         X, y = toy_xy(n_per_class=2)

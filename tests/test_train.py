@@ -197,6 +197,13 @@ class TestMetrics:
         assert lines[1] == "1,0"
         assert lines[2] == "1,1"
 
+    @pytest.mark.parametrize("name", ["c.csv", "c.csv.gz"])
+    def test_confusion_csv_bytes(self, tmp_path, name):
+        # a name ending in .gz is still written as plain text
+        path = tmp_path / name
+        write_confusion_csv(str(path), metrics_from_pairs([0, 1, 1], [0, 1, 0], 2))
+        assert path.read_bytes() == b"0,1\n1,0\n1,1\n"
+
 
 def toy_sequences(n_per_class=6, classes=3, t=5, joints=6, spread=0.5):
     """Separable toy sequences: class -> offset axis plus a temporal slope."""
@@ -281,6 +288,22 @@ class TestTrainLoop:
         decays = [log.decays for log in result.epochs]
         assert all(b >= a for a, b in zip(decays, decays[1:]))
         assert decays[-1] == 2
+
+    @pytest.mark.parametrize("with_val", [True, False])
+    def test_validation_split_is_evaluated_once_per_epoch(self, monkeypatch, with_val):
+        seqs = toy_sequences(classes=3, joints=6, t=5)
+        val = [seqs[i] for i in (0, 6, 12)] if with_val else []
+        calls = []
+        monkeypatch.setattr("han.train.evaluate", lambda model, split: calls.append(len(split)) or evaluate(model, split))
+        model = HANModel(tiny_config(class_count=3, frames=4), seed=5)
+        config = TrainConfig(seed=5, batch_size=8, max_epochs=3, augmentation=None)
+        result = train_loop(seqs, val, model, config)
+        # one val pass per epoch, then one pass over the training split
+        assert calls == ([3, 3, 3, 18] if with_val else [18])
+        if with_val:
+            assert result.final_val_acc == result.epochs[-1].val_acc
+        else:
+            assert math.isnan(result.final_val_acc)
 
     def test_determinism_same_seed_same_params(self):
         seqs = toy_sequences(classes=3, joints=6, t=5)
