@@ -13,11 +13,12 @@ import argparse
 import dataclasses
 import os
 import sys
+import time
 
 import numpy as np
 
 from .config import CONFIG_KEYS, build_configs
-from .data import FLOAT_FORMAT, load_manifest, parse_sequence, read_lines, uniform_sample
+from .data import load_manifest, parse_sequence, read_lines, uniform_sample, write_table
 from .errors import CheckpointError, ConfigError, DataError, HanError, UsageError
 from .model import HANModel, SITES, extract_attention, load_checkpoint, save_checkpoint
 from .profile import cost_report
@@ -141,6 +142,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    start = time.perf_counter()
     model = load_checkpoint(args.checkpoint)
     dataset = load_manifest(args.manifest)
     if dataset.class_count != model.config.class_count:
@@ -162,6 +164,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
                               f"weights or this sequence's values overflow {np.dtype(model.dtype).name}")
     if args.confusion:
         write_confusion_csv(args.confusion, report)
+    wall_s = time.perf_counter() - start
+    per_class = ",".join(f"{acc:.4g}" for acc in report.per_class_accuracy)
+    print(f"eval: wall_s={wall_s:.4g} seq_per_s={len(sequences) / wall_s:.4g} per_class_acc={per_class}",
+          file=sys.stderr)
     print(f"accuracy={report.accuracy:.8g} samples={int(report.confusion.sum())}")
     return EXIT_OK
 
@@ -187,7 +193,7 @@ def cmd_export_attn(args: argparse.Namespace) -> int:
     def write_matrix(name: str, matrix: np.ndarray) -> None:
         path = os.path.join(args.out, name)
         with open(path, "w", encoding="utf-8") as fh:
-            np.savetxt(fh, np.atleast_2d(matrix), fmt=FLOAT_FORMAT, delimiter=",")  # 1-D frame sums: one row
+            write_table(fh, np.atleast_2d(matrix), delimiter=",")  # 1-D frame sums: one row
 
     write_matrix("head_avg.csv", maps.head_avg)
     for h in range(maps.per_head.shape[0]):

@@ -34,6 +34,7 @@ MAX_FRAMES = 4_096
 
 PART_COUNT = 6  # hand parts in every partition
 FLOAT_FORMAT = "%.9g"  # sequence files and attention CSVs: 9 significant digits round-trip float32
+WRITE_BLOCK_ROWS = 256  # rows per `%` in write_table
 
 
 def is_integer(value) -> bool:
@@ -230,10 +231,23 @@ def _parse_lines(path: str, lines: list[str], joint_count: int, label: int) -> S
     return SkeletonSequence(frames=frames, label=label)
 
 
+def write_table(fh, table: np.ndarray, fmt: str = FLOAT_FORMAT, delimiter: str = " ") -> None:
+    """Write a 2-D table to an open text handle, one line per row, each value as `fmt % value`.
+
+    One `%` formats a block of WRITE_BLOCK_ROWS rows, so the text held at
+    once does not grow with the table.
+    """
+    rows, cols = table.shape
+    line = delimiter.join([fmt] * cols) + "\n"
+    for start in range(0, rows, WRITE_BLOCK_ROWS):
+        block = table[start:start + WRITE_BLOCK_ROWS]
+        fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+
 def write_sequence(seq: SkeletonSequence, path: str) -> None:
     """Write the sequence file form; values at 9 significant digits."""
-    with open(path, "w", encoding="utf-8") as fh:  # a handle: savetxt would gzip a str path ending in .gz
-        np.savetxt(fh, seq.frames.reshape(seq.frame_count, -1), fmt=FLOAT_FORMAT)
+    with open(path, "w", encoding="utf-8") as fh:
+        write_table(fh, seq.frames.reshape(seq.frame_count, -1))
 
 
 def uniform_sample(seq: SkeletonSequence, target_frames: int) -> SkeletonSequence:

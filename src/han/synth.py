@@ -85,23 +85,20 @@ def generate_sequence(cls: int, config: SynthConfig, rng: Rng) -> SkeletonSequen
     phase = rng.uniform(None, -0.3, 0.3)
     amplitude = rng.uniform(None, 0.85, 1.15)
 
-    frames = np.empty((frames_n, config.joints, 3))
-    for t in range(frames_n):
-        tau = t / (frames_n - 1)
-        frame = pose.copy()
-        if coarse:
-            frame += direction * (0.6 * amplitude * math.sin(2.0 * math.pi * freq * tau + phase))
-        else:
-            # fine classes bend two fingers along the class direction with a
-            # one-sided bend-and-release envelope, tip-weighted so the finger
-            # curls; the bent-on-average fingers mark the class
-            for slot, f in enumerate(dict.fromkeys(fingers)):
-                bend = 0.5 * (1.0 - math.cos(2.0 * math.pi * freq * tau + phase + slot * finger_gap))
-                part = partition.parts[f]
-                for k, joint in enumerate(part):
-                    weight = 0.25 * (k + 1)
-                    frame[joint] = pose[joint] + direction * (0.7 * amplitude * weight * bend)
-        frames[t] = frame
+    # per-frame scalars through math.sin/cos (np.sin may differ in the last bit), applied by broadcasting
+    angles = [2.0 * math.pi * freq * (t / (frames_n - 1)) + phase for t in range(frames_n)]
+    frames = np.repeat(pose[None], frames_n, axis=0)
+    if coarse:
+        frames += direction * np.array([0.6 * amplitude * math.sin(a) for a in angles])[:, None, None]
+    else:
+        # fine classes bend two fingers along the class direction with a
+        # one-sided bend-and-release envelope, tip-weighted so the finger
+        # curls; the bent-on-average fingers mark the class
+        for slot, f in enumerate(dict.fromkeys(fingers)):
+            bend = np.array([0.5 * (1.0 - math.cos(a + slot * finger_gap)) for a in angles])
+            part = list(partition.parts[f])
+            scale = 0.7 * amplitude * (0.25 * np.arange(1, len(part) + 1))  # per joint, tip heaviest
+            frames[:, part] = pose[part] + direction * (scale * bend[:, None])[:, :, None]
     frames += rng.normal(frames.shape, 0.0, 0.004)
     return SkeletonSequence(frames=frames, label=cls)
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import GradientTape, Tensor
 from .config import TrainConfig
-from .data import SkeletonSequence, augment, uniform_sample
+from .data import SkeletonSequence, augment, uniform_sample, write_table
 from .errors import ConfigError, UsageError
 from .model import HANModel, forward, probabilities
 from .rng import Rng
@@ -270,5 +270,6 @@ def write_training_log(path: str, result: TrainResult) -> None:
 def write_confusion_csv(path: str, report: EvalReport) -> None:
     """Confusion counts as CSV with a header row of class labels."""
     header = ",".join(map(str, range(report.confusion.shape[0])))
-    with open(path, "w", encoding="utf-8") as fh:  # a handle: savetxt would gzip a str path ending in .gz
-        np.savetxt(fh, report.confusion, fmt="%d", delimiter=",", header=header, comments="")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        write_table(fh, report.confusion, fmt="%d", delimiter=",")

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -223,6 +224,24 @@ class TestEvalCommand:
         final_line = (trained_dir / "train.log").read_text().strip().split("\n")[-1]
         logged = float(final_line.split("val_acc=")[1])
         assert acc == pytest.approx(logged, abs=1e-9)
+
+    def test_reports_speed_on_stderr_and_accuracy_on_stdout(self, trained_dir, dataset_dir, capsys):
+        assert main(["eval", "--checkpoint", str(trained_dir / "model.ckpt"),
+                     "--manifest", str(dataset_dir / "manifest.tsv")]) == 0
+        captured = capsys.readouterr()
+        labels = [e.label for e in load_manifest(str(dataset_dir / "manifest.tsv")).split_entries("test")]
+        samples = len(labels)
+        accuracy = re.fullmatch(rf"accuracy=([0-9.e-]+) samples={samples}\n", captured.out)
+        assert accuracy, captured.out
+        number = r"([0-9.e+-]+)"
+        match = re.fullmatch(rf"eval: wall_s={number} seq_per_s={number} per_class_acc=([0-9.e,+-]+)\n", captured.err)
+        assert match, captured.err
+        wall_s, seq_per_s = float(match[1]), float(match[2])
+        assert wall_s > 0 and seq_per_s == pytest.approx(samples / wall_s, rel=1e-3)
+        per_class = [float(v) for v in match[3].split(",")]
+        assert len(per_class) == 3 and all(0.0 <= v <= 1.0 for v in per_class)
+        counts = np.bincount(labels, minlength=3)
+        assert np.dot(per_class, counts) / samples == pytest.approx(float(accuracy[1]), abs=1e-3)
 
     def test_confusion_csv_row_sums(self, trained_dir, dataset_dir, tmp_path):
         csv = tmp_path / "conf.csv"

@@ -201,14 +201,22 @@ class TestSequenceIO:
         assert flat[66] == float(token) == value
         assert np.all(np.delete(flat, 66) == 0.5)
 
-    @pytest.mark.parametrize("name", ["seq.txt", "seq.txt.gz"])
-    def test_writes_each_frame_as_its_9_digit_values(self, tmp_path, name):
+    @pytest.mark.parametrize("name, frames_n", [
+        pytest.param("seq.txt", 2, id="seq.txt"),
+        pytest.param("seq.txt.gz", 2, id="seq.txt.gz"),
+        # the writer formats 256 rows per block: one row, a full block, one past it, a partial third block
+        *(pytest.param("seq.txt", n, id=f"{n}-frames") for n in (1, 256, 257, 600)),
+    ])
+    def test_writes_each_frame_as_its_9_digit_values(self, tmp_path, name, frames_n):
         # a name ending in .gz is still written as plain text
         values = [-0.0, 1e-05, 0.1, 123456789.5, 1e16, float(np.finfo(np.float32).max), 5e-324, 2.5, -7.0]
-        frames = np.array([values, values[::-1]]).reshape(2, 3, 3)
+        # rows vary along the file, so a misplaced block shows
+        rows = [np.roll(values[::-1] if t % 2 else values, t // 2) for t in range(frames_n)]
+        frames = np.array(rows).reshape(frames_n, 3, 3)
         path = tmp_path / name
         write_sequence(SkeletonSequence(frames=frames, label=0), str(path))
-        expected = "".join(" ".join(format(v, ".9g") for v in row) + "\n" for row in frames.reshape(2, -1).tolist())
+        expected = "".join(" ".join(format(v, ".9g") for v in row) + "\n"
+                           for row in frames.reshape(frames_n, -1).tolist())
         assert path.read_bytes() == expected.encode()
 
     def test_roundtrip_through_text(self, tmp_path):
