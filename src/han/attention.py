@@ -67,11 +67,12 @@ class AttentionParams:
     wa: Tensor
     ba: Tensor
 
-    def validate(self, config: AttentionConfig) -> None:
+    def validate(self, config: AttentionConfig) -> AttentionParams:
         for name, want, _ in param_table(config):
             t = getattr(self, name)
             if t.shape != want:
                 raise ShapeError(f"attention param {name} has shape {t.shape}, expected {want}")
+        return self
 
 
 def param_table(config: AttentionConfig) -> list[tuple[str, tuple[int, ...], float]]:
@@ -128,6 +129,8 @@ def attend_batch(
     w_e (d_model, c) and b_e (d_model,). The embedding is affine, so K/Q/V
     come from the c-wide rows as (W·W_e)·x_n + W·(b_e + pe[n]), and w_e and
     b_e get their gradients from this record.
+
+    Parameter shapes are not checked here; `HANModel._build` checks them once.
     """
     if x.ndim != 3:
         raise ShapeError(f"attend_batch needs (B, N, d_model), got {x.shape}")
@@ -135,7 +138,6 @@ def attend_batch(
     d = config.d_model
     if n == 0:
         raise UsageError("attention needs at least one input token")
-    params.validate(config)
     if pe is not None and np.shape(pe) != (n, d):
         raise ShapeError(f"position rows {np.shape(pe)} do not match {n} tokens of d_model {d}")
     inputs = (x, params.wk, params.wq, params.wv, params.wa, params.ba)
@@ -180,18 +182,20 @@ def attend_batch(
 
     f = dtype(1.0 / math.sqrt(dh))
     scores = (q @ k_t) * f                                     # (B, H, N, N)
-    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
-    lam = e / np.sum(e, axis=-1, keepdims=True)
+    top = scores[..., :1]  # row max by slices: a reduction over the short key axis loops once per row
+    for j in range(1, n):
+        top = np.maximum(top, scores[..., j:j + 1])
+    e = np.exp(scores - top)
+    lam = e / e.sum(axis=-1, keepdims=True)
     if weights_out is not None:
         weights_out.append(lam.copy())
 
     ctx = np.transpose(lam @ v, (0, 2, 1, 3)).reshape(-1, hw)  # (B*N, H*dh)
     pre = (ctx @ wa.T).reshape(b, n, d) + ba                   # back to d_model
-    r = np.maximum(pre, 0)
-    mu = np.mean(r, axis=-1, keepdims=True)                    # layer norm, population variance
-    var = np.mean((r - mu) ** 2, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + dtype(1e-5))
-    y = (r - mu) * inv
+    y = np.maximum(pre, 0)  # ReLU, then layer norm (population variance), centred and scaled in place
+    y -= y.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((y ** 2).sum(axis=-1, keepdims=True) / d + dtype(1e-5))
+    y *= inv
 
     mask = None
     if training and config.dropout_rate > 0.0:
@@ -204,12 +208,12 @@ def attend_batch(
         keep = ~np.concatenate([s.bernoulli((b // len(streams), n, d), rate) for s in streams])
         mask = keep.astype(dtype) / dtype(1.0 - rate)
     branch = y if mask is None else y * mask
-    out = Tensor(np.mean(tokens + branch, axis=1))
+    out = Tensor((tokens + branch).sum(axis=1) / n)
 
     def bwd(g):
         gu = np.repeat(np.expand_dims(g / n, 1), n, axis=1)   # token mean
         gy = gu if mask is None else gu * mask                 # dropout
-        ga = inv * (gy - np.mean(gy, axis=-1, keepdims=True) - y * np.mean(gy * y, axis=-1, keepdims=True))
+        ga = inv * (gy - gy.sum(axis=-1, keepdims=True) / d - y * ((gy * y).sum(axis=-1, keepdims=True) / d))
         del gy
         ga = (ga * (pre > 0)).reshape(-1, d)                   # layer norm, then ReLU
         gwa, gba = ga.T @ ctx, ga.sum(axis=0)
@@ -238,7 +242,7 @@ def attend_batch(
         gwv = through(np.swapaxes(lam, -1, -2) @ gc, (0, 2, 1, 3), wv)
         glam = gc @ np.swapaxes(v, -1, -2)
         del gc
-        gs = (glam - np.sum(glam * lam, axis=-1, keepdims=True)) * lam * f   # softmax, then scale
+        gs = (glam - (glam * lam).sum(axis=-1, keepdims=True)) * lam * f   # softmax, then scale
         del glam
         gwq = through(gs @ np.swapaxes(k_t, -1, -2), (0, 2, 1, 3), wq)
         gwk = through(np.swapaxes(q, -1, -2) @ gs, (0, 3, 1, 2), wk)

@@ -70,7 +70,8 @@ class HANModel:
                         for name, shape, bound in _parameter_table(config)}
 
         def blocks(prefix):
-            return [AttentionParams(**{f: self._params[f"{name}.{f}"] for f, _, _ in param_table(att)})
+            # shapes are checked here, once per build, not in every attend_batch call
+            return [AttentionParams(**{f: self._params[f"{name}.{f}"] for f, _, _ in param_table(att)}).validate(att)
                     for name in _block_names(config)[prefix]]
 
         self.joint_w, self.joint_b = self._params["joint.w"], self._params["joint.b"]

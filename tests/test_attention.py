@@ -282,20 +282,34 @@ class TestFusedBlock:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("dropout", [0.0, 0.3])
     def test_matches_reference_composition_bit_for_bit(self, dtype, dropout):
-        config = small_config(n_heads=3, d_head=2, dropout_rate=dropout)
-        params = make_params(config, seed=31, dtype=dtype)
-        rs = np.random.RandomState(81)
-        x = ad.parameter(rs.uniform(-1, 1, (3, 5, config.d_model)), dtype=dtype)
-        weights = rs.uniform(-1, 1, (1, 3 * config.d_model))
+        # N=1 takes no row-max slice step, and numpy sums 8 or more values pairwise
+        for n in (1, 2, 4, 5, 7, 8, 9):
+            config = small_config(n_heads=3, d_head=2, dropout_rate=dropout)
+            params = make_params(config, seed=31, dtype=dtype)
+            rs = np.random.RandomState(81)
+            x = ad.parameter(rs.uniform(-1, 1, (3, n, config.d_model)), dtype=dtype)
+            weights = rs.uniform(-1, 1, (1, 3 * config.d_model))
 
-        def run(block):
-            streams = [Rng(4, f"dropout/0/{i}") for i in range(3)]
-            return run_block(block, x, params, config, weights.astype(dtype), training=True, rng=streams)
+            def run(block):
+                streams = [Rng(4, f"dropout/0/{i}") for i in range(3)]
+                return run_block(block, x, params, config, weights.astype(dtype), training=True, rng=streams)
 
-        got, want = run(attend_batch), run(attend_batch_reference)
-        assert len(got) == 7
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+            got, want = run(attend_batch), run(attend_batch_reference)
+            assert len(got) == 7
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b), f"N={n}"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slot", [0, 3])
+    def test_nan_stays_in_its_group(self, dtype, slot):
+        config = small_config(n_heads=3, d_head=2)
+        params = make_params(config, seed=32, dtype=dtype)
+        clean = np.random.RandomState(82).uniform(-1, 1, (3, 4, config.d_model)).astype(dtype)
+        dirty = clean.copy()
+        dirty[1, slot, 2] = np.nan
+        got, want = (attend_batch(ad.constant(x), params, config).data for x in (dirty, clean))
+        assert np.isnan(got[1]).all()
+        assert np.array_equal(got[[0, 2]], want[[0, 2]])
 
 
 class TestPositionRows:

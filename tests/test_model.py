@@ -8,7 +8,7 @@ import pytest
 from han.attention import AttentionConfig, positional_embedding
 from han.autodiff import GradientTape, backward
 from han.data import FPHA21, SHREC22, HandPartition
-from han.errors import CheckpointError, ConfigError, DataError, UsageError
+from han.errors import CheckpointError, ConfigError, DataError, ShapeError, UsageError
 from han.model import (
     HANConfig,
     HANModel,
@@ -740,6 +740,22 @@ class TestModelDtype:
     def test_float16_rejected_at_construction(self):
         with pytest.raises(UsageError, match="a tensor holds float32 or float64 values, got float16"):
             HANModel(HANConfig(), dtype=np.float16)
+
+
+class TestBlockShapes:
+    """`attend_batch` trusts its block's shapes; `_build`, the one path that
+    makes a model for init and load, checks them once."""
+
+    @pytest.mark.parametrize("shared, wrong", [(True, "j_att.wq"), (False, "t_att.3.ba")])
+    def test_block_parameter_of_the_wrong_shape_rejected(self, shared, wrong):
+        config = tiny_config(share_j_att=shared, share_t_att=shared)
+
+        def value(name, shape, bound):
+            return np.zeros(shape + (1,) if name == wrong else shape)
+
+        field = wrong.rsplit(".", 1)[1]
+        with pytest.raises(ShapeError, match=rf"attention param {field} has shape \(.*\), expected"):
+            HANModel.__new__(HANModel)._build(config, np.float64, value)
 
 
 class TestTapeSize:
