@@ -282,10 +282,10 @@ class TestFusedBlock:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("dropout", [0.0, 0.3])
     def test_matches_reference_composition_bit_for_bit(self, dtype, dropout):
+        config = small_config(n_heads=3, d_head=2, dropout_rate=dropout)
+        params = make_params(config, seed=31, dtype=dtype)
         # N=1 takes no row-max slice step, and numpy sums 8 or more values pairwise
         for n in (1, 2, 4, 5, 7, 8, 9):
-            config = small_config(n_heads=3, d_head=2, dropout_rate=dropout)
-            params = make_params(config, seed=31, dtype=dtype)
             rs = np.random.RandomState(81)
             x = ad.parameter(rs.uniform(-1, 1, (3, n, config.d_model)), dtype=dtype)
             weights = rs.uniform(-1, 1, (1, 3 * config.d_model))
