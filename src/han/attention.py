@@ -28,6 +28,10 @@ from .autodiff import Tensor
 from .errors import ConfigError, ShapeError, UsageError
 from .rng import Rng
 
+# the widest d_model and n_heads·d_head a config, flag or checkpoint may
+# declare; the model allocates its weight matrices and position table for them
+MAX_WIDTH = 4_096
+
 
 @dataclass(frozen=True)
 class AttentionConfig:
@@ -42,6 +46,9 @@ class AttentionConfig:
                 f"attention dims must be >= 1, got d_model={self.d_model}, "
                 f"n_heads={self.n_heads}, d_head={self.d_head}"
             )
+        for name, width in (("d_model", self.d_model), ("n_heads*d_head", self.heads_width)):
+            if width > MAX_WIDTH:
+                raise ConfigError(f"{name} must be in [1, {MAX_WIDTH}], got {width}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from .config import CONFIG_KEYS, build_configs
-from .data import load_manifest, parse_sequence, read_lines, uniform_sample, write_table
+from .data import load_manifest, parse_sequence, read_lines, write_table
 from .errors import CheckpointError, ConfigError, DataError, HanError, UsageError
 from .model import HANModel, SITES, extract_attention, load_checkpoint, save_checkpoint
 from .profile import cost_report
@@ -60,7 +60,7 @@ def _read_config_file(path: str) -> dict:
         kind = CONFIG_KEYS[key]
         try:
             out[key] = _parse_bool(value) if kind is bool else kind(value)
-        except ValueError as exc:
+        except (ValueError, ConfigError) as exc:  # a number that does not parse, or a word that is no boolean
             raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {value}") from exc
     return out
 
@@ -186,8 +186,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 def cmd_export_attn(args: argparse.Namespace) -> int:
     model = load_checkpoint(args.checkpoint)
-    seq = uniform_sample(parse_sequence(args.sequence, model.config.joint_count), model.config.frames)
+    seq = parse_sequence(args.sequence, model.config.joint_count)
     maps = extract_attention(seq, model, args.site, frame=args.frame, part=args.part, stream=args.stream)
+    if not np.isfinite(maps.per_head).all():  # checked before --out is made: an overflow writes nothing
+        raise CheckpointError(f"{args.checkpoint}: {args.sequence}: attention weights are not finite: the "
+                              f"checkpoint's weights or this sequence's values overflow {np.dtype(model.dtype).name}")
     os.makedirs(args.out, exist_ok=True)
 
     def write_matrix(name: str, matrix: np.ndarray) -> None:

@@ -13,7 +13,7 @@ import inspect
 import numpy as np
 
 from .config import ALIASES, DEFAULTS, build_configs
-from .data import SkeletonSequence, uniform_sample
+from .data import SkeletonSequence
 from .errors import DataError, UsageError
 from .model import HANModel, probabilities
 from .train import TrainResult, train_loop
@@ -142,9 +142,7 @@ class HANClassifier:
     def predict_proba(self, X) -> np.ndarray:
         """Class probabilities (n, classes); a row whose forward overflows is not finite."""
         self._check_fitted()
-        config = self.model_.config
-        seqs = as_sequence_list(X, joint_count=config.joint_count)
-        return probabilities([uniform_sample(seq, config.frames) for seq in seqs], self.model_)
+        return probabilities(as_sequence_list(X, joint_count=self.model_.config.joint_count), self.model_)
 
     def predict(self, X) -> np.ndarray:
         """Labels of X; raises DataError naming the first row whose probabilities are not finite."""

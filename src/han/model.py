@@ -1,6 +1,7 @@
 """The full hierarchical model: joints -> fingers -> hand -> time -> fusion.
 
-`forward` maps a batch of sampled sequences (B, T, J, 3) to (B, C) logits:
+`forward` maps a batch of sequences, each resampled to T = `config.frames`
+frames, to (B, C) logits:
 
 1. the joint coordinates are gathered into hand-part order, once,
 2. per frame, each of the 6 hand parts runs through the joint-level block
@@ -39,7 +40,7 @@ from . import autodiff as ad
 from .attention import AttentionParams, attend_batch, param_table, positional_embedding
 from .autodiff import Tensor
 from .config import HANConfig
-from .data import PART_COUNT, SkeletonSequence, is_integer
+from .data import PART_COUNT, SkeletonSequence, is_integer, uniform_sample
 from .errors import CheckpointError, ConfigError, DataError, UsageError
 from .rng import Rng
 
@@ -115,21 +116,24 @@ def _parameter_table(config: HANConfig) -> list[tuple[str, tuple[int, ...], floa
 
 
 def _batch_array(seqs, model: HANModel) -> np.ndarray:
-    """(B, T, J, 3) frames of a batch given as a list of sampled sequences or one array."""
+    """(B, config.frames, J, 3) frames of a list of sequences or one (B, T, J, 3) array: the model's input
+    contract, which resamples a sequence of any other length T >= 1 with `uniform_sample`."""
     cfg = model.config
     if isinstance(seqs, (list, tuple)):
         batch = [s.frames if isinstance(s, SkeletonSequence) else np.asarray(s) for s in seqs]
     else:
-        batch = np.asarray(seqs)
+        batch = seqs = np.asarray(seqs)
     if len(batch) == 0 or isinstance(batch, np.ndarray) and batch.ndim != 4:
         raise UsageError(f"forward takes a batch of one or more (T, J, 3) sequences, got {np.shape(batch)}")
     for frames in batch:
-        if frames.ndim != 3 or frames.shape[2] != 3:
-            raise UsageError(f"sequence frames must be (T, J, 3), got {frames.shape}")
-        if frames.shape[0] != cfg.frames:
-            raise UsageError(f"model expects {cfg.frames} frames, got {frames.shape[0]}; sample the sequence first")
+        if frames.ndim != 3 or frames.shape[2] != 3 or frames.shape[0] == 0:
+            raise UsageError(f"sequence frames must be (T, J, 3) with T >= 1, got {frames.shape}")
         if frames.shape[1] != cfg.joint_count:
             raise ConfigError(f"model expects {cfg.joint_count} joints, got {frames.shape[1]}")
+    if any(len(frames) != cfg.frames for frames in batch):  # a raw array is wrapped, so it gets the sequence checks
+        batch = [frames if len(frames) == cfg.frames else uniform_sample(
+                 seq if isinstance(seq, SkeletonSequence) else SkeletonSequence(frames, 0), cfg.frames).frames
+                 for seq, frames in zip(seqs, batch)]
     with np.errstate(over="ignore"):  # an overflowing cast is reported below, per row
         frames = np.asarray(batch, dtype=model.dtype)
     for row, ok in enumerate(np.isfinite(frames).all(axis=(1, 2, 3))):
@@ -152,7 +156,7 @@ def _attend_site(model, key, x, block, use_pe, training, rng, capture, embed=Non
 
 def forward(seqs, model: HANModel, training: bool = False, rng: Rng | list[Rng] | None = None,
             capture: dict | None = None) -> Tensor:
-    """Class logits (B, C) for a list of sampled sequences or one (B, T, J, 3) array.
+    """Class logits (B, C) for a list of sequences or one (B, T, J, 3) array, each resampled to `config.frames`.
 
     Training mode takes one dropout stream per sequence (or one stream for
     B=1); `capture` gets every site's (B, G, H, N, N) attention weights.
@@ -192,16 +196,17 @@ def forward(seqs, model: HANModel, training: bool = False, rng: Rng | list[Rng] 
 def probabilities(seqs, model: HANModel) -> np.ndarray:
     """Eval-mode class probabilities (B, C) in float64, forwarded EVAL_CHUNK sequences at a time.
 
-    A sequence whose forward overflows gets a row that is not finite;
-    `evaluate` reports it, and `predict` passes it on.
+    A sequence whose forward overflows gets a row that is not finite, with
+    no numpy warning; `evaluate` reports it, and `predict` passes it on.
     """
     frames = _batch_array(seqs, model)  # checked whole, so an error names the row in `seqs`
-    logits = np.concatenate([
-        forward(frames[start:start + EVAL_CHUNK], model).data.astype(np.float64)
-        for start in range(0, len(frames), EVAL_CHUNK)
-    ])
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported in the result
+        logits = np.concatenate([
+            forward(frames[start:start + EVAL_CHUNK], model).data.astype(np.float64)
+            for start in range(0, len(frames), EVAL_CHUNK)
+        ])
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
 
 
 def predict(seq, model: HANModel) -> tuple[int, np.ndarray]:
@@ -224,9 +229,9 @@ def extract_attention(seq, model: HANModel, site: str, *, frame: int | None = No
                       part: int | None = None, stream: int | None = None) -> AttentionMaps:
     """Eval-mode attention matrices at one site of the hierarchy.
 
-    Selectors: site "J" needs frame and part; "F" needs frame; "T" needs
-    stream (0-5 the parts in partition order, 6 the whole hand); "Fusion"
-    needs none.
+    Selectors: site "J" needs frame and part; "F" needs frame (a resampled
+    frame); "T" needs stream (0-5 the parts in partition order, 6 the whole
+    hand); "Fusion" needs none. An overflow gives maps that are not finite.
     """
     cfg = model.config
     if site not in SITES:
@@ -251,7 +256,8 @@ def extract_attention(seq, model: HANModel, site: str, *, frame: int | None = No
     else:
         key, group = ("Fusion",), 0
     capture: dict = {}
-    forward([seq], model, training=False, capture=capture)
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks the maps
+        forward([seq], model, training=False, capture=capture)
     per_head = capture[key][0, group]                          # (H, N, N)
     head_avg = per_head.mean(axis=0)
     frame_sums = head_avg.sum(axis=0) if site == "T" else None

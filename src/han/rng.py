@@ -88,17 +88,14 @@ class Rng:
             return float(out[0])
         return out.reshape(shape)
 
-    def normal(self, shape=None, mean: float = 0.0, std: float = 1.0):
+    def normal(self, shape, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
         """Gaussian samples via Box-Muller (two uniform draws per value)."""
-        n = 1 if shape is None else int(np.prod(shape))
+        n = int(np.prod(shape))
         u1 = self.uniform((n,))
         u2 = self.uniform((n,))
         # 1 - u1 lies in (0, 1], keeping the log finite
         z = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * math.pi * u2)
-        out = mean + std * z
-        if shape is None:
-            return float(out[0])
-        return out.reshape(shape)
+        return (mean + std * z).reshape(shape)
 
     def randint(self, low: int, high: int):
         """One integer in [low, high)."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MAX_CLASSES, SkeletonSequence, default_partition, write_sequence
+from .data import MAX_CLASSES, MAX_FRAMES, SkeletonSequence, default_partition, write_sequence
 from .errors import ConfigError
 from .rng import Rng
 
@@ -41,8 +41,9 @@ class SynthConfig:
         if self.test_fraction > 0 and math.ceil(self.per_class * self.test_fraction) >= self.per_class:
             raise ConfigError(f"test_fraction {self.test_fraction} leaves no training sample "
                               f"of {self.per_class} per class")
-        if self.min_frames < 2 or self.max_frames < self.min_frames:
-            raise ConfigError("frame range must satisfy 2 <= min <= max")
+        if not 2 <= self.min_frames <= self.max_frames <= MAX_FRAMES:
+            raise ConfigError(f"frame range must satisfy 2 <= min_frames <= max_frames <= {MAX_FRAMES}, "
+                              f"got {self.min_frames} and {self.max_frames}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         default_partition(self.joints)  # a joint count with no built-in layout fails before anything is written

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import GradientTape, Tensor
 from .config import TrainConfig
-from .data import SkeletonSequence, augment, uniform_sample, write_table
+from .data import SkeletonSequence, augment, write_table
 from .errors import ConfigError, UsageError
 from .model import HANModel, forward, probabilities
 from .rng import Rng
@@ -155,9 +155,7 @@ def evaluate(model: HANModel, sequences: list[SkeletonSequence]) -> EvalReport:
     """
     pred, bad = [], None
     if sequences:
-        sampled = [uniform_sample(seq, model.config.frames) for seq in sequences]
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported in the result
-            probs = probabilities(sampled, model)
+        probs = probabilities(sequences, model)
         finite = np.isfinite(probs).all(axis=1)
         bad = None if finite.all() else int(np.argmin(finite))
         pred = np.argmax(probs, axis=1)
@@ -197,7 +195,6 @@ def train_loop(
     adam = AdamState.for_params(params)
     sched = ScheduleState(config)
     root = Rng(config.seed)
-    frames_t = model.config.frames
     logs: list[EpochLog] = []
 
     epoch = 0
@@ -208,17 +205,14 @@ def train_loop(
         correct = 0
         for start in range(0, len(order), config.batch_size):
             batch = [int(gi) for gi in order[start:start + config.batch_size]]
-            sampled = []
-            for gi in batch:
-                seq = train_seqs[gi]
-                if config.augmentation is not None:
-                    seq = augment(seq, config.augmentation, root.stream(f"augment/{epoch}/{gi}"))
-                sampled.append(uniform_sample(seq, frames_t))
             labels = np.array([train_seqs[gi].label for gi in batch])
             drop_rngs = [root.stream(f"dropout/{epoch}/{gi}") for gi in batch]
-            # a diverging run overflows here; the loss check below reports it
+            # a diverging run overflows here; the loss check below reports it. The augmented
+            # sequences live only as forward's argument, so backward runs without them
             with GradientTape() as tape, np.errstate(over="ignore", invalid="ignore"):
-                logits = forward(sampled, model, training=True, rng=drop_rngs)
+                logits = forward([train_seqs[gi] if config.augmentation is None else
+                                  augment(train_seqs[gi], config.augmentation, root.stream(f"augment/{epoch}/{gi}"))
+                                  for gi in batch], model, training=True, rng=drop_rngs)
                 batch_loss = cross_entropy(logits, labels)
             loss = batch_loss.item()
             if not math.isfinite(loss):

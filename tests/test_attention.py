@@ -185,6 +185,11 @@ class TestAttend:
         with pytest.raises(ShapeError):
             attend_one(RS.uniform(-1, 1, (3, config.d_model + 1)), params, config)
 
+    def test_two_dimensional_input_errors(self):
+        config = small_config()
+        with pytest.raises(ShapeError, match=r"attend_batch needs \(B, N, d_model\), got \(3, 6\)"):
+            attend_batch(ad.constant(RS.uniform(-1, 1, (3, config.d_model))), make_params(config), config)
+
     def test_empty_input_errors(self):
         config = small_config()
         params = make_params(config)

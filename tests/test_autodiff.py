@@ -163,6 +163,22 @@ class TestElementwiseAndReductions:
         with pytest.raises(ShapeError):
             ref.add(Tensor(rand((2, 3))), Tensor(rand((3, 2))))
 
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: ad.linear(Tensor(rand((2, 3))), Tensor(rand(3))), ShapeError, "linear weight must be 2-d"),
+        (lambda: ad.linear(Tensor(rand((2, 3))), Tensor(rand((4, 2)))), ShapeError, "linear: input width"),
+        (lambda: ad.linear(Tensor(rand((2, 3))), Tensor(rand((4, 3))), Tensor(rand(3))), ShapeError, "linear: bias"),
+        (lambda: ad.linear(Tensor(rand((2, 3)), dtype=np.float32), Tensor(rand((4, 3)), dtype=np.float64)),
+         UsageError, r"linear: mixed dtypes \['float32', 'float64'\]"),
+        (lambda: ad.stack([]), UsageError, "stack needs at least one tensor"),
+        (lambda: ad.stack([Tensor(rand(2)), Tensor(rand(3))]), ShapeError, "stack needs equal shapes"),
+        (lambda: ad.stack([Tensor(rand(2), dtype=np.float32), Tensor(rand(2), dtype=np.float64)]),
+         UsageError, "stack: mixed dtypes"),
+    ], ids=["linear-1d-weight", "linear-width", "linear-bias", "linear-dtypes", "stack-none", "stack-shapes",
+            "stack-dtypes"])
+    def test_bad_operands_rejected(self, make, error, message):
+        with pytest.raises(error, match=message):
+            make()
+
     @pytest.mark.parametrize("op", ["add", "mean", "take", "stack", "transpose", "linear", "scale"])
     def test_gradients(self, op):
         if op == "add":

@@ -10,8 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
-from han.cli import main
-from han.data import load_manifest, parse_sequence, uniform_sample
+from han.cli import _read_config_file, main
+from han.data import load_manifest, parse_sequence
 from han.model import extract_attention, load_checkpoint, save_checkpoint
 
 FAST_TRAIN = [
@@ -69,6 +69,10 @@ class TestSynthCommand:
         (["--per-class", "1"], "test_fraction 0.25 leaves no training sample of 1 per class"),
         (["--per-class", "1", "--test-fraction", "0.99"], "test_fraction 0.99 leaves no training sample"),
         (["--per-class", "2", "--test-fraction", "0.6"], "test_fraction 0.6 leaves no training sample of 2"),
+        (["--max-frames", "999999999"], "frame range must satisfy 2 <= min_frames <= max_frames <= 4096, "
+                                        "got 6 and 999999999"),
+        (["--min-frames", "1"], "frame range must satisfy 2 <= min_frames <= max_frames <= 4096, got 1 and 10"),
+        (["--per-class", "0"], "per_class must be >= 1, got 0"),
     ])
     def test_unusable_layout_exits_2_writing_nothing(self, tmp_path, capsys, extra, message):
         out = tmp_path / "d"
@@ -116,7 +120,8 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "o"), "--classes", "7"] + FAST_TRAIN)
         assert code == 2
 
-    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--max-epochs", "-3"), ("--max-epochs", "0")])
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--max-epochs", "-3"), ("--max-epochs", "0"),
+                                             ("--batch-size", "0"), ("--warmup-epochs", "-1")])
     def test_out_of_range_value_exits_2_writing_nothing(self, tmp_path, dataset_dir, capsys, flag, value):
         out = tmp_path / "o"
         code = main(["train", "--manifest", str(dataset_dir / "manifest.tsv"),
@@ -397,6 +402,20 @@ class TestProfileCommand:
         flops = int(out.split("flops=")[1].split()[0])
         assert 34_000_000 <= flops <= 46_000_000
 
+    @pytest.mark.parametrize("text, value", [("yes", True), ("On", True), ("off", False), ("0", False)])
+    def test_config_file_booleans(self, tmp_path, text, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# switches\n\naugment={text}\n")
+        assert _read_config_file(str(cfg)) == {"augment": value}
+
+    @pytest.mark.parametrize("line", ["augment=maybe", "heads=two"])
+    def test_bad_config_file_value_exits_2_naming_file_and_line(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"d_model=8\n{line}\n")
+        assert main(["profile", "--config", str(cfg)]) == 2
+        key, _, value = line.partition("=")
+        assert capsys.readouterr().err == f"error: {cfg}:2: bad value for '{key}': {value}\n"
+
     def test_invalid_utf8_config_file_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"d_model=8\nheads=\xff2\n")
@@ -451,12 +470,28 @@ class TestExportAttnCommand:
         assert main(["export-attn", "--checkpoint", str(trained_dir / "model.ckpt"),
                      "--sequence", seq_path, "--site", "T", "--stream", "6", "--out", str(out)]) == 0
         model = load_checkpoint(str(trained_dir / "model.ckpt"))
-        seq = uniform_sample(parse_sequence(seq_path, 22), model.config.frames)
-        maps = extract_attention(seq, model, "T", stream=6)
+        maps = extract_attention(parse_sequence(seq_path, 22), model, "T", stream=6)
         for name, matrix in (("head_avg.csv", maps.head_avg), ("frame_sums.csv", maps.frame_sums)):
             rows = np.atleast_2d(matrix).tolist()
             expected = "".join(",".join(format(v, ".9g") for v in row) + "\n" for row in rows)
             assert (out / name).read_bytes() == expected.encode()
+
+    def test_overflowing_forward_exits_2_writing_nothing(self, trained_dir, dataset_dir, tmp_path, capsys):
+        model = load_checkpoint(str(trained_dir / "model.ckpt"))
+        model.joint_w.data[:] = 3e38  # finite, but the attention scores overflow
+        bad = tmp_path / "huge.ckpt"
+        save_checkpoint(model, str(bad))
+        seq = load_manifest(str(dataset_dir / "manifest.tsv")).entries[0].path
+        out = tmp_path / "attn"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["export-attn", "--checkpoint", str(bad), "--sequence", seq, "--site", "T", "--stream", "6",
+                         "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (f"error: {bad}: {seq}: attention weights are not finite: the checkpoint's weights "
+                                f"or this sequence's values overflow float32\n")
+        assert captured.out == "" and not out.exists()
 
     def test_invalid_site_exits_2(self, trained_dir, dataset_dir):
         ds = load_manifest(str(dataset_dir / "manifest.tsv"))

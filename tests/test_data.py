@@ -349,6 +349,17 @@ class TestManifest:
         with pytest.raises(ParseError, match=r"manifest\.tsv:2: no built-in partition for 19 joints"):
             load_manifest(path)
 
+    def test_comment_and_blank_lines_skipped(self, tmp_path):
+        path = self.write_dataset(tmp_path, ["# two classes", "classes=2", "", "  ", "joints=22", "# entries:"])
+        ds = load_manifest(path)
+        assert (ds.class_count, ds.joint_count, len(ds.entries)) == (2, 22, 4)
+
+    @pytest.mark.parametrize("header, key", [(["joints=22"], "classes"), (["classes=2"], "joints")])
+    def test_missing_header_names_manifest(self, tmp_path, header, key):
+        path = self.write_dataset(tmp_path, header)
+        with pytest.raises(ParseError, match=rf"manifest\.tsv: manifest is missing the '{key}=' header"):
+            load_manifest(path)
+
     def test_unknown_header_key(self, tmp_path):
         path = self.write_dataset(tmp_path, ["classes=2", "joints=22", "quality=high"])
         with pytest.raises(ParseError, match="quality"):

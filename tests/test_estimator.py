@@ -95,11 +95,22 @@ class TestFitPredict:
         with pytest.raises(UsageError):
             fast_estimator().fit(X, np.zeros(len(X), dtype=int))
 
+    def test_unknown_parameter_rejected(self):
+        with pytest.raises(TypeError, match=r"HANClassifier got unexpected keyword arguments \['bogus'\]"):
+            HANClassifier(bogus=1)
+
     @pytest.mark.parametrize("name, value", [("seed", -1), ("max_epochs", 0)])
     def test_out_of_range_schedule_rejected(self, name, value):
         X, y = toy_xy(n_per_class=2)
         with pytest.raises(ConfigError, match=f"{name} must be >= "):
             fast_estimator(**{name: value}).fit(X, y)
+
+    @pytest.mark.parametrize("params, message", [({"d_model": 4097}, r"d_model must be in \[1, 4096\]"),
+                                                 ({"n_heads": 64, "d_head": 65}, r"n_heads\*d_head must be in")])
+    def test_attention_width_beyond_bound_rejected(self, params, message):
+        X, y = toy_xy(n_per_class=2)
+        with pytest.raises(ConfigError, match=message):
+            fast_estimator(**params).fit(X, y)
 
 
 class TestInputValidation:
@@ -212,7 +223,8 @@ class TestPredictNonFinite:
     def test_float32_max_joint_weights(self):
         est, X, y = self.fitted()
         est.model_.joint_w.data[:] = np.finfo(np.float32).max
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow is reported once, as a non-finite row
             probs = est.predict_proba(X)
             assert not np.isfinite(probs[0]).all()
             with pytest.raises(DataError, match=r"X\[0\].*not finite"):
@@ -223,7 +235,8 @@ class TestPredictNonFinite:
     def test_names_the_first_overflowing_row(self):
         est, X, _ = self.fitted()
         X = [X[0], X[1], X[2] * 1e30, X[3] * 1e30]
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             probs = est.predict_proba(X)
             assert np.isfinite(probs[:2]).all() and not np.isfinite(probs[2]).all()
             with pytest.raises(DataError, match=r"X\[2\]"):

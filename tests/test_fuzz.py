@@ -149,7 +149,7 @@ def test_manifest_class_count_beyond_bound(corpus, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("changes", [{"class_count": 99999999999}, {"frames": 40000}])
+@pytest.mark.parametrize("changes", [{"class_count": 99999999999}, {"frames": 40000}, {"d_model": 99999}])
 def test_checkpoint_echo_beyond_bound(corpus, tmp_path, capsys, changes):
     ckpt = tmp_path / "model.ckpt"
     ckpt.write_bytes(_with_config_echo((corpus / "run" / "model.ckpt").read_bytes(), **changes))
@@ -167,3 +167,34 @@ def test_frames_flag_beyond_bound(corpus, tmp_path, capsys):
     assert code == 2
     assert "frames must be in [1, 4096], got 99999999" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+# the attention widths size every weight matrix and the position table
+
+WIDTHS_BEYOND_BOUND = [
+    (["--d-model", "4097"], "d_model must be in [1, 4096], got 4097"),
+    (["--heads", "1000", "--d-head", "1000000"], "n_heads*d_head must be in [1, 4096], got 1000000000"),
+]
+
+
+@pytest.mark.parametrize("flags, message", WIDTHS_BEYOND_BOUND)
+def test_attention_width_flag_beyond_bound(corpus, tmp_path, capsys, flags, message):
+    code = main(["train", "--manifest", str(corpus / "data" / "manifest.tsv"),
+                 "--out", str(tmp_path / "run")] + TRAIN + flags)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_attention_width_beyond_bound_in_a_config_file(tmp_path, capsys):
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("heads=64\nd_head=65\n")
+    assert main(["profile", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: n_heads*d_head must be in [1, 4096], got 4160\n"
+
+
+def test_attention_width_echo_beyond_bound(corpus, tmp_path):
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(_with_config_echo((corpus / "run" / "model.ckpt").read_bytes(), n_heads=2, d_head=4096))
+    with pytest.raises(CheckpointError, match=re.escape(f"{ckpt}: invalid checkpoint config: n_heads*d_head must be")):
+        load_checkpoint(str(ckpt))

@@ -1,13 +1,14 @@
 import json
 import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from han.attention import AttentionConfig, positional_embedding
 from han.autodiff import GradientTape, backward
-from han.data import FPHA21, SHREC22, HandPartition
+from han.data import FPHA21, SHREC22, HandPartition, SkeletonSequence, uniform_sample
 from han.errors import CheckpointError, ConfigError, DataError, ShapeError, UsageError
 from han.model import (
     HANConfig,
@@ -47,11 +48,33 @@ class TestForwardBasics:
         x = rand_frames(config)
         assert np.array_equal(forward([x], model).data, forward([x], model).data)
 
-    def test_frame_count_checked(self):
+    @pytest.mark.parametrize("kind", ["arrays", "sequences", "array"])
+    def test_any_frame_count_is_resampled(self, kind):
+        # every entry samples to config.frames itself, with the bits of a call on uniform_sample's output
         config = tiny_config()
-        model = HANModel(config, seed=1)
-        with pytest.raises(UsageError, match="frames"):
-            forward([RS.uniform(-1, 1, (5, 6, 3))], model)
+        lengths = [5, 5, 5] if kind == "array" else [5, 1, config.frames, 9]
+        raw = [RS.uniform(-1, 1, (t, config.joint_count, 3)) for t in lengths]
+        sampled = [uniform_sample(SkeletonSequence(frames=f, label=0), config.frames).frames for f in raw]
+        batch = {"arrays": lambda: raw, "array": lambda: np.stack(raw),
+                 "sequences": lambda: [SkeletonSequence(frames=f, label=i) for i, f in enumerate(raw)]}[kind]()
+        for dtype in (np.float32, np.float64):
+            model = HANModel(config, seed=5, dtype=dtype)
+            assert np.array_equal(forward(batch, model).data, forward(sampled, model).data)
+            assert np.array_equal(probabilities(batch, model), probabilities(sampled, model))
+            assert np.array_equal(predict(batch[0], model)[1], predict(sampled[0], model)[1])
+            for site, selectors in (("J", {"frame": 1, "part": 0}), ("T", {"stream": 6})):
+                got = extract_attention(batch[0], model, site, **selectors).per_head
+                assert np.array_equal(got, extract_attention(sampled[0], model, site, **selectors).per_head)
+
+    def test_sequence_at_the_frame_count_is_not_resampled(self, monkeypatch):
+        config = tiny_config()
+        monkeypatch.setattr("han.model.uniform_sample", lambda *a: pytest.fail("resampled a sampled sequence"))
+        forward([rand_frames(config)], HANModel(config, seed=1))
+
+    @pytest.mark.parametrize("shape", [(2, 6, 2), (0, 6, 3), (6, 3)], ids=["two-coords", "no-frames", "2-d"])
+    def test_frames_of_the_wrong_shape_rejected(self, shape):
+        with pytest.raises(UsageError, match=r"sequence frames must be \(T, J, 3\) with T >= 1"):
+            forward([np.zeros(shape)], HANModel(tiny_config(), seed=1))
 
     def test_joint_count_checked(self):
         config = tiny_config()
@@ -208,13 +231,16 @@ class TestPredict:
         assert np.allclose(probs, 1.0 / config.class_count)
 
     def test_overflowing_forward_gives_non_finite_probabilities(self):
-        # predict passes an overflow on for its caller to see; evaluate raises on it
+        # predict passes an overflow on for its caller to see, with no numpy warning; evaluate raises on it
         config = tiny_config()
         model = HANModel(config, seed=6)
         model.joint_w.data[:] = np.finfo(np.float32).max
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             _, probs = predict(rand_frames(config), model)
-        assert not np.isfinite(probs).all()
+            assert not np.isfinite(probs).all()
+            assert not np.isfinite(probabilities([RS.uniform(-1, 1, (5, config.joint_count, 3))], model)).all()
+            assert not np.isfinite(extract_attention(rand_frames(config), model, "T", stream=0).per_head).all()
 
     def test_empty_batch_rejected(self):
         with pytest.raises(UsageError, match="forward takes a batch of one or more"):

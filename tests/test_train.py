@@ -41,6 +41,10 @@ class TestCrossEntropy:
         with pytest.raises(UsageError):
             cross_entropy(Tensor(np.zeros((1, 4))), [4])
 
+    def test_float_labels_rejected(self):
+        with pytest.raises(UsageError, match="cross_entropy needs"):
+            cross_entropy(Tensor(np.zeros((2, 4))), np.array([1.0, 2.0]))
+
     def test_gradient_is_softmax_minus_onehot(self):
         x = parameter(RS.uniform(-2, 2, 9), dtype=np.float64)
         with GradientTape() as tape:
@@ -92,6 +96,11 @@ class TestAdam:
         state = AdamState.for_params([p])
         with pytest.raises(UsageError):
             adam_step([p], [np.zeros(3)], state, lr=0.1)
+
+    def test_length_mismatch(self):
+        p = parameter(np.zeros((2, 2)))
+        with pytest.raises(UsageError, match="the same length"):
+            adam_step([p], [], AdamState.for_params([p]), lr=0.1)
 
     def test_deterministic_trajectories(self):
         def run():
