@@ -171,13 +171,10 @@ def test_frames_flag_beyond_bound(corpus, tmp_path, capsys):
 
 # the attention widths size every weight matrix and the position table
 
-WIDTHS_BEYOND_BOUND = [
+@pytest.mark.parametrize("flags, message", [
     (["--d-model", "4097"], "d_model must be in [1, 4096], got 4097"),
     (["--heads", "1000", "--d-head", "1000000"], "n_heads*d_head must be in [1, 4096], got 1000000000"),
-]
-
-
-@pytest.mark.parametrize("flags, message", WIDTHS_BEYOND_BOUND)
+])
 def test_attention_width_flag_beyond_bound(corpus, tmp_path, capsys, flags, message):
     code = main(["train", "--manifest", str(corpus / "data" / "manifest.tsv"),
                  "--out", str(tmp_path / "run")] + TRAIN + flags)

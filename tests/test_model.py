@@ -55,8 +55,10 @@ class TestForwardBasics:
         lengths = [5, 5, 5] if kind == "array" else [5, 1, config.frames, 9]
         raw = [RS.uniform(-1, 1, (t, config.joint_count, 3)) for t in lengths]
         sampled = [uniform_sample(SkeletonSequence(frames=f, label=0), config.frames).frames for f in raw]
-        batch = {"arrays": lambda: raw, "array": lambda: np.stack(raw),
-                 "sequences": lambda: [SkeletonSequence(frames=f, label=i) for i, f in enumerate(raw)]}[kind]()
+        if kind == "sequences":
+            batch = [SkeletonSequence(frames=f, label=i) for i, f in enumerate(raw)]
+        else:
+            batch = np.stack(raw) if kind == "array" else raw
         for dtype in (np.float32, np.float64):
             model = HANModel(config, seed=5, dtype=dtype)
             assert np.array_equal(forward(batch, model).data, forward(sampled, model).data)
