@@ -21,7 +21,7 @@ import threading
 
 import numpy as np
 
-from .errors import ShapeError, UsageError
+from .errors import HanError, ShapeError, UsageError
 
 DEFAULT_DTYPE = np.float32
 
@@ -163,10 +163,8 @@ def backward(loss: Tensor, tape: GradientTape) -> None:
         for t, g in zip(rec.inputs, grads_in):
             if g is None or not t.requires_grad:
                 continue
-            if g.shape != t.data.shape:
-                raise ShapeError(
-                    f"{rec.op} backward produced gradient {g.shape} for input {t.data.shape}"
-                )
+            if g.shape != t.data.shape:  # a broken op, not a caller's mistake: the CLI exits 4
+                raise HanError(f"{rec.op} backward produced gradient {g.shape} for input {t.data.shape}")
             if t.grad is None:
                 t.grad = g.astype(t.data.dtype, copy=False)
             else:

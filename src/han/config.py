@@ -10,10 +10,15 @@ is the one path from a flat mapping back to `(HANConfig, TrainConfig)`.
 from __future__ import annotations
 
 import dataclasses
+import math
+import sys
 import types
 import typing
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from .attention import AttentionConfig
 from .data import (MAX_CLASSES, MAX_FRAMES, SHREC22, AugmentationConfig, HandPartition,
@@ -105,8 +110,8 @@ def _flatten(config) -> dict:
 def _unflatten(cls, values: Mapping):
     """A cls instance from flat field values; a nested config absent from them is built from them.
 
-    Every flat mapping becomes a config here, so this is where a count is checked: an
-    `int` or `int | None` field takes an integer (a bool is not one), stored as int.
+    Every flat mapping becomes a config here, so this is where each scalar field is
+    checked (`_scalar`); an `int | None` field also takes None.
     """
     hints = _HINTS[cls]
     kwargs = {}
@@ -114,12 +119,27 @@ def _unflatten(cls, values: Mapping):
         if f.name not in values and f.name in _NESTED:
             kwargs[f.name] = _unflatten(_NESTED[f.name], values)
             continue
-        value = kwargs[f.name] = values[f.name]
-        if hints[f.name] == int or hints[f.name] == int | None and value is not None:
-            if not is_integer(value):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            kwargs[f.name] = int(value)
+        value, kind = values[f.name], hints[f.name]
+        if kind == int | None:
+            kind = None if value is None else int
+        kwargs[f.name] = _scalar(f.name, kind, value)
     return cls(**kwargs)
+
+
+def _scalar(name: str, kind, value):
+    """What a field of type `kind` stores for `value`, or a ConfigError naming the field.
+
+    An int takes an integer (a bool is not one); a float a finite real number (an
+    integer too, never a bool); a bool a bool or a numpy bool. Other kinds pass as they are.
+    """
+    if kind is int and not is_integer(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if kind is float and not (abs(int(value)) <= sys.float_info.max if is_integer(value)
+                              else isinstance(value, (float, np.floating)) and math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if kind is bool and not isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"{name} must be a bool, got {value!r}")
+    return kind(value) if kind in (int, float, bool) else value
 
 
 # the flat spellings of four fields; every other field's flat key is its name
@@ -170,7 +190,12 @@ def build_configs(values: Mapping) -> tuple[HANConfig, TrainConfig]:
     """
     flat = {ALIASES.get(key, key): value for key, value in DEFAULTS.items()}
     flat.update((ALIASES.get(key, key), value) for key, value in values.items())
+    for key, kind, _ in chain.from_iterable(_STAND_INS.values()):  # no field check sees these keys
+        if key != "partition":
+            flat[key] = _scalar(key, kind, flat[key])
     partition = flat["partition"]
+    if not isinstance(partition, (str, HandPartition)):
+        raise ConfigError(f"partition must be a name, a file path or a HandPartition, got {partition!r}")
     if not isinstance(partition, HandPartition):
         partition = default_partition(flat["joints"]) if partition == "auto" else resolve_partition(partition)
     if "joints" in values and values["joints"] != partition.joint_count:

@@ -44,8 +44,11 @@ from .data import PART_COUNT, SkeletonSequence, is_integer, uniform_sample
 from .errors import CheckpointError, ConfigError, DataError, UsageError
 from .rng import Rng
 
-SITES = ("J", "F", "T", "Fusion")
 STREAM_COUNT = PART_COUNT + 1  # the parts + whole hand
+# each site of the hierarchy: its blocks' name prefix, the HANConfig flag that adds its
+# position rows and the one that shares a block across its groups (None: it has one block)
+SITES = {"J": ("j_att", "pe_j", "share_j_att"), "F": ("f_att", "pe_f", None),
+         "T": ("t_att", "pe_t", "share_t_att"), "Fusion": ("fusion_att", "pe_fusion", None)}
 EVAL_CHUNK = 8  # sequences per eval-mode forward in `probabilities`; bounds peak memory
 
 
@@ -64,7 +67,7 @@ class HANModel:
         self.dtype = np.dtype(dtype).type
         att = config.attention
         d = att.d_model
-        max_pos = max(config.frames, STREAM_COUNT, max(len(p) for p in config.partition.parts), PART_COUNT) + 1
+        max_pos = max(n for calls in site_calls(config).values() for _, n in calls) + 1
         # sinusoid rows 0..max_pos-1, cast once; a site with N tokens adds rows 1..N
         self.pe = np.stack([positional_embedding(i, d) for i in range(max_pos)]).astype(self.dtype)
         self._params = {name: ad.parameter(value(name, shape, bound), dtype=self.dtype)
@@ -73,7 +76,7 @@ class HANModel:
         def blocks(prefix):
             # shapes are checked here, once per build, not in every attend_batch call
             return [AttentionParams(**{f: self._params[f"{name}.{f}"] for f, _, _ in param_table(att)}).validate(att)
-                    for name in _block_names(config)[prefix]]
+                    for name in block_names(config)[prefix]]
 
         self.joint_w, self.joint_b = self._params["joint.w"], self._params["joint.b"]
         self.j_att = blocks("j_att")
@@ -90,13 +93,20 @@ class HANModel:
         return sum(t.size for _, t in self.parameters())
 
 
-def _block_names(config: HANConfig) -> dict[str, list[str]]:
-    """Each site's attention blocks by name: one shared block, or one per part or stream."""
-    def names(prefix, count):
-        return [prefix] if count == 1 else [f"{prefix}.{i}" for i in range(count)]
+def site_calls(config: HANConfig) -> dict[str, list[tuple[int, int]]]:
+    """Each site's token groups for one sequence as (groups, tokens) entries, one per block
+    the site owns when unshared: J a part's joints per frame, F the parts per frame, T the
+    frames of each stream (the parts, then the whole hand), Fusion the streams."""
+    t = config.frames
+    return {"J": [(t, len(part)) for part in config.partition.parts], "F": [(t, PART_COUNT)],
+            "T": [(1, t)] * STREAM_COUNT, "Fusion": [(1, STREAM_COUNT)]}
 
-    return {"j_att": names("j_att", 1 if config.share_j_att else PART_COUNT), "f_att": ["f_att"],
-            "t_att": names("t_att", 1 if config.share_t_att else STREAM_COUNT), "fusion_att": ["fusion_att"]}
+
+def block_names(config: HANConfig) -> dict[str, list[str]]:
+    """Each site's attention blocks by name: one shared block, or one per `site_calls` entry."""
+    calls = site_calls(config)
+    return {prefix: [prefix] if share is None or getattr(config, share) else
+            [f"{prefix}.{i}" for i in range(len(calls[site]))] for site, (prefix, _, share) in SITES.items()}
 
 
 def _parameter_table(config: HANConfig) -> list[tuple[str, tuple[int, ...], float]]:
@@ -107,7 +117,7 @@ def _parameter_table(config: HANConfig) -> list[tuple[str, tuple[int, ...], floa
     """
     d, c = config.attention.d_model, config.class_count
     table = [("joint.w", (d, 3), 1.0 / np.sqrt(3)), ("joint.b", (d,), 0.0)]
-    for names in _block_names(config).values():
+    for names in block_names(config).values():
         table += [(f"{name}.{f}", shape, bound) for name in names for f, shape, bound in param_table(config.attention)]
     # the head starts 10x smaller than the fan-in rule so the initial
     # predictor is near-uniform and the first loss sits at log(class_count)
@@ -142,14 +152,14 @@ def _batch_array(seqs, model: HANModel) -> np.ndarray:
     return frames
 
 
-def _attend_site(model, key, x, block, use_pe, training, rng, capture, embed=None) -> Tensor:
+def _attend_site(model, key, x, block, training, rng, capture, embed=None) -> Tensor:
     """One block call on batch-major token rows: (B·G, N, c) -> (B·G, d).
 
     Row b·G + g is group g of sequence b, so each sequence's dropout stream
-    draws a contiguous share. The call adds the site's position rows 1..N when
-    `use_pe`, appends its (B·G, H, N, N) weights to the list `capture[key]`,
-    and with `embed` embeds the raw coordinates of `x` itself."""
-    pe = model.pe[1:x.shape[1] + 1] if use_pe else None
+    draws a contiguous share. The call adds position rows 1..N when the flag
+    of site `key[0]` is on, appends its (B·G, H, N, N) weights to the list
+    `capture[key]`, and with `embed` embeds the raw coordinates of `x` itself."""
+    pe = model.pe[1:x.shape[1] + 1] if getattr(model.config, SITES[key[0]][1]) else None
     sink = None if capture is None else capture.setdefault(key, [])
     return attend_batch(x, block, model.config.attention, training, rng, sink, pe, embed)
 
@@ -177,17 +187,17 @@ def forward(seqs, model: HANModel, training: bool = False, rng: Rng | list[Rng] 
         tokens = ad.constant(coords[:, start:start + len(part)])          # (B·T, n_p, 3)
         start += len(part)
         part_rows.append(_attend_site(model, ("J", p_idx), tokens, model.j_att[0 if cfg.share_j_att else p_idx],
-                                      cfg.pe_j, training, rng, maps, (model.joint_w, model.joint_b)))
-    hand = _attend_site(model, ("F",), ad.stack(part_rows, axis=1), model.f_att, cfg.pe_f, training, rng, maps)
+                                      training, rng, maps, (model.joint_w, model.joint_b)))
+    hand = _attend_site(model, ("F",), ad.stack(part_rows, axis=1), model.f_att, training, rng, maps)
     streams = [ad.reshape(s, (b, t, d)) for s in part_rows + [hand]]   # 7 x (B, T, d)
     if cfg.share_t_att:
         folded = ad.reshape(ad.stack(streams, axis=1), (b * STREAM_COUNT, t, d))
-        stream_feats = ad.reshape(_attend_site(model, ("T",), folded, model.t_att[0], cfg.pe_t,
-                                               training, rng, maps), (b, STREAM_COUNT, d))
+        stream_feats = ad.reshape(_attend_site(model, ("T",), folded, model.t_att[0], training, rng, maps),
+                                  (b, STREAM_COUNT, d))
     else:
-        stream_feats = ad.stack([_attend_site(model, ("T",), s, blk, cfg.pe_t, training, rng, maps)
+        stream_feats = ad.stack([_attend_site(model, ("T",), s, blk, training, rng, maps)
                                  for s, blk in zip(streams, model.t_att)], axis=1)
-    fused = _attend_site(model, ("Fusion",), stream_feats, model.fusion_att, cfg.pe_fusion, training, rng, maps)
+    fused = _attend_site(model, ("Fusion",), stream_feats, model.fusion_att, training, rng, maps)
     if capture is not None:  # each site's calls as (B, G, H, N, N)
         capture.update((key, np.stack(m, axis=1).reshape(b, -1, *m[0].shape[1:])) for key, m in maps.items())
     return ad.linear(fused, model.cls_w, model.cls_b)
@@ -235,7 +245,7 @@ def extract_attention(seq, model: HANModel, site: str, *, frame: int | None = No
     """
     cfg = model.config
     if site not in SITES:
-        raise UsageError(f"site must be one of {SITES}, got '{site}'")
+        raise UsageError(f"site must be one of {tuple(SITES)}, got '{site}'")
 
     def need(value, name, bound):
         if value is None:

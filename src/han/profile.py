@@ -4,15 +4,15 @@ FLOPs follow the multiply-accumulate convention: one MAC = 1 FLOP, for a
 single forward pass of one sequence at the configured frame count.
 Elementwise work (softmax, normalization, activations, residual adds,
 position embeddings, biases) is tallied at N*d per occurrence in a separate
-breakdown row; it is under 2% of the total.
+breakdown row; it is under 2% of the total. The site rows read the model's
+site table (`SITES`, `site_calls`), so they follow its geometry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .data import PART_COUNT
-from .model import HANConfig, STREAM_COUNT
+from .model import SITES, HANConfig, block_names, site_calls
 
 
 @dataclass(frozen=True)
@@ -60,53 +60,23 @@ def attention_invocation_flops(n_tokens: int, config: HANConfig) -> int:
     return 3 * n_tokens * d * hw + 2 * n_tokens * n_tokens * hw + n_tokens * hw * d
 
 
-def _invocations(config: HANConfig) -> dict[str, list[int]]:
-    """Token counts of every attention call in one forward pass, per site."""
-    part_sizes = [len(p) for p in config.partition.parts]
-    return {
-        "j_att": [n for _ in range(config.frames) for n in part_sizes],
-        "f_att": [PART_COUNT] * config.frames,
-        "t_att": [config.frames] * STREAM_COUNT,
-        "fusion_att": [STREAM_COUNT],
-    }
-
-
 def cost_report(config: HANConfig) -> CostReport:
     att = config.attention
     d = att.d_model
-    block = att.param_count()
     j = config.joint_count
     t = config.frames
-    calls = _invocations(config)
-
-    def site_flops(site: str) -> int:
-        return sum(attention_invocation_flops(n, config) for n in calls[site])
-
-    def site_minor(site: str) -> int:
-        return sum(6 * n * d for n in calls[site])
-
-    # elementwise: per-call passes, embed bias add, position-embedding adds
-    pe_adds = 0
-    if config.pe_j:
-        pe_adds += t * j * d
-    if config.pe_f:
-        pe_adds += t * PART_COUNT * d
-    if config.pe_t:
-        pe_adds += STREAM_COUNT * t * d
-    if config.pe_fusion:
-        pe_adds += STREAM_COUNT * d
-    elementwise = sum(site_minor(s) for s in calls) + t * j * d + pe_adds + config.class_count
-
-    rows = (
-        CostRow("joint_embed", d * 3 + d, j * t * 3 * d),
-        CostRow("j_att", block * (1 if config.share_j_att else PART_COUNT), site_flops("j_att")),
-        CostRow("f_att", block, site_flops("f_att")),
-        CostRow("t_att", block * (1 if config.share_t_att else STREAM_COUNT), site_flops("t_att")),
-        CostRow("fusion_att", block, site_flops("fusion_att")),
-        CostRow("classifier", config.class_count * d + config.class_count, config.class_count * d),
-        CostRow("elementwise", 0, elementwise),
-    )
-    return CostReport(rows=rows)
+    calls, blocks = site_calls(config), block_names(config)
+    rows = [CostRow("joint_embed", d * 3 + d, j * t * 3 * d)]
+    # elementwise: the embed and head bias adds, then per call six passes plus
+    # the position add where the site's flag is on
+    elementwise = t * j * d + config.class_count
+    for site, (prefix, pe_flag, _) in SITES.items():
+        flops = sum(g * attention_invocation_flops(n, config) for g, n in calls[site])
+        rows.append(CostRow(prefix, att.param_count() * len(blocks[prefix]), flops))
+        elementwise += sum((6 + getattr(config, pe_flag)) * g * n * d for g, n in calls[site])
+    rows += [CostRow("classifier", config.class_count * d + config.class_count, config.class_count * d),
+             CostRow("elementwise", 0, elementwise)]
+    return CostReport(rows=tuple(rows))
 
 
 def count_params(config: HANConfig) -> int:

@@ -207,21 +207,24 @@ def train_loop(
             batch = [int(gi) for gi in order[start:start + config.batch_size]]
             labels = np.array([train_seqs[gi].label for gi in batch])
             drop_rngs = [root.stream(f"dropout/{epoch}/{gi}") for gi in batch]
-            # a diverging run overflows here; the loss check below reports it. The augmented
-            # sequences live only as forward's argument, so backward runs without them
-            with GradientTape() as tape, np.errstate(over="ignore", invalid="ignore"):
-                logits = forward([train_seqs[gi] if config.augmentation is None else
-                                  augment(train_seqs[gi], config.augmentation, root.stream(f"augment/{epoch}/{gi}"))
-                                  for gi in batch], model, training=True, rng=drop_rngs)
-                batch_loss = cross_entropy(logits, labels)
-            loss = batch_loss.item()
-            if not math.isfinite(loss):
-                raise ConfigError(f"loss is {loss} at epoch {epoch}, batch {start // config.batch_size} "
-                                  f"with lr {lr:.8g}; lower lr_init")
-            correct += int(np.sum(np.argmax(logits.data, axis=1) == labels))
-            ad.backward(batch_loss, tape)
-            grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
-            adam_step(params, grads, adam, lr)
+            # a diverging run overflows here; the loss check and the epoch-end parameter check
+            # report it. The augmented sequences live only as forward's argument, so backward
+            # runs without them
+            with np.errstate(over="ignore", invalid="ignore"):
+                with GradientTape() as tape:
+                    logits = forward([train_seqs[gi] if config.augmentation is None else
+                                      augment(train_seqs[gi], config.augmentation,
+                                              root.stream(f"augment/{epoch}/{gi}"))
+                                      for gi in batch], model, training=True, rng=drop_rngs)
+                    batch_loss = cross_entropy(logits, labels)
+                loss = batch_loss.item()
+                if not math.isfinite(loss):
+                    raise ConfigError(f"loss is {loss} at epoch {epoch}, batch {start // config.batch_size} "
+                                      f"with lr {lr:.8g}; lower lr_init")
+                correct += int(np.sum(np.argmax(logits.data, axis=1) == labels))
+                ad.backward(batch_loss, tape)
+                grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
+                adam_step(params, grads, adam, lr)
             tape.reset()
             loss_sum += loss * len(batch)
 

@@ -263,17 +263,17 @@ def forward_reference(seqs, model: HANModel, training: bool = False, rng: Rng | 
     for p_idx, part in enumerate(cfg.partition.parts):
         tokens = take(embedded, list(part), axis=1)             # (B·T, n_p, d)
         part_rows.append(_attend_site(model, ("J", p_idx), tokens, model.j_att[0 if cfg.share_j_att else p_idx],
-                                      cfg.pe_j, training, rng, maps))
-    hand = _attend_site(model, ("F",), ad.stack(part_rows, axis=1), model.f_att, cfg.pe_f, training, rng, maps)
+                                      training, rng, maps))
+    hand = _attend_site(model, ("F",), ad.stack(part_rows, axis=1), model.f_att, training, rng, maps)
     streams = [ad.reshape(s, (b, t, d)) for s in part_rows + [hand]]
     if cfg.share_t_att:
         folded = ad.reshape(ad.stack(streams, axis=1), (b * STREAM_COUNT, t, d))
-        stream_feats = ad.reshape(_attend_site(model, ("T",), folded, model.t_att[0], cfg.pe_t,
-                                               training, rng, maps), (b, STREAM_COUNT, d))
+        stream_feats = ad.reshape(_attend_site(model, ("T",), folded, model.t_att[0], training, rng, maps),
+                                  (b, STREAM_COUNT, d))
     else:
-        stream_feats = ad.stack([_attend_site(model, ("T",), s, blk, cfg.pe_t, training, rng, maps)
+        stream_feats = ad.stack([_attend_site(model, ("T",), s, blk, training, rng, maps)
                                  for s, blk in zip(streams, model.t_att)], axis=1)
-    fused = _attend_site(model, ("Fusion",), stream_feats, model.fusion_att, cfg.pe_fusion, training, rng, maps)
+    fused = _attend_site(model, ("Fusion",), stream_feats, model.fusion_att, training, rng, maps)
     if capture is not None:
         capture.update((key, np.stack(m, axis=1).reshape(b, -1, *m[0].shape[1:])) for key, m in maps.items())
     return ad.linear(fused, model.cls_w, model.cls_b)

@@ -156,8 +156,7 @@ def test_criterion_05_permutation_invariance_suite():
     assert np.max(np.abs(forward([frames[[3, 1, 0, 2]]], model).data - base)) < 1e-5
     # the 7 fusion streams, driven directly through the fusion stage
     def fuse(stream_feats):
-        return _attend_site(model, ("Fusion",), stream_feats, model.fusion_att, model.config.pe_fusion,
-                            False, None, None).data
+        return _attend_site(model, ("Fusion",), stream_feats, model.fusion_att, False, None, None).data
 
     streams = ad.constant(RS.uniform(-1, 1, (7, 6)), dtype=np.float64)
     fused = fuse(ad.reshape(streams, (1, 7, 6)))

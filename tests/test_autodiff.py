@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from han import autodiff as ad
 from han.autodiff import GradientTape, Tensor, backward, record_op
-from han.errors import ConfigError, ShapeError, UsageError
+from han.errors import ConfigError, HanError, ShapeError, UsageError
 from han.model import HANModel, forward
 from han.rng import Rng
 from han.train import cross_entropy
@@ -173,8 +173,9 @@ class TestElementwiseAndReductions:
         (lambda: ad.stack([Tensor(rand(2)), Tensor(rand(3))]), ShapeError, "stack needs equal shapes"),
         (lambda: ad.stack([Tensor(rand(2), dtype=np.float32), Tensor(rand(2), dtype=np.float64)]),
          UsageError, "stack: mixed dtypes"),
+        (lambda: Tensor(rand(2)).item(), UsageError, r"item\(\) needs a single-element tensor, shape is \(2,\)"),
     ], ids=["linear-1d-weight", "linear-width", "linear-bias", "linear-dtypes", "stack-none", "stack-shapes",
-            "stack-dtypes"])
+            "stack-dtypes", "item-of-two"])
     def test_bad_operands_rejected(self, make, error, message):
         with pytest.raises(error, match=message):
             make()
@@ -324,6 +325,24 @@ class TestTapeAndBackward:
             loss = ref.tensor_sum(ref.add(x, x))
         backward(loss, tape)
         assert np.allclose(x.grad, [2.0, 2.0])
+
+    def test_record_off_the_loss_path_is_skipped(self):
+        x = ad.parameter(rand(3), dtype=np.float64)
+        calls = []
+        with GradientTape() as tape:
+            unused = record_op("unused", (x,), Tensor(x.data), lambda g: calls.append(g) or (g,))
+            loss = ref.tensor_sum(ref.scale(x, 2.0))
+        backward(loss, tape)
+        assert calls == [] and unused.grad is None
+        assert np.array_equal(x.grad, np.full(3, 2.0))
+
+    def test_wrong_shape_gradient_is_an_internal_error(self):
+        x = ad.parameter(rand(3), dtype=np.float64)
+        with GradientTape() as tape:
+            loss = ref.tensor_sum(record_op("broken", (x,), Tensor(2.0 * x.data), lambda g: (g[:2],)))
+        with pytest.raises(HanError, match=r"broken backward produced gradient \(2,\) for input \(3,\)") as info:
+            backward(loss, tape)
+        assert not isinstance(info.value, UsageError)  # the CLI exits 4 on it, not 2
 
     def test_no_tape_means_no_recording(self):
         x = Tensor(rand(3), requires_grad=True)

@@ -12,6 +12,7 @@ import pytest
 
 from han.cli import _read_config_file, main
 from han.data import load_manifest, parse_sequence
+from han.errors import HanError
 from han.model import extract_attention, load_checkpoint, save_checkpoint
 
 FAST_TRAIN = [
@@ -131,6 +132,27 @@ class TestTrainCommand:
         assert err.startswith(f"error: {flag[2:].replace('-', '_')} must be >= ") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--time-jitter", "inf"), ("--noise-std", "nan"), ("--scale-min", "nan"),
+                                             ("--shift-range", "inf"), ("--lr", "nan")])
+    def test_non_finite_value_exits_2_writing_nothing(self, tmp_path, dataset_dir, capsys, flag, value):
+        out = tmp_path / "o"
+        code = main(["train", "--manifest", str(dataset_dir / "manifest.tsv"),
+                     "--out", str(out)] + FAST_TRAIN + ["--augment", flag, value])
+        assert code == 2
+        field = "lr_init" if flag == "--lr" else flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {field} must be a finite number, got {value}\n"
+        assert not out.exists()
+
+    def test_internal_error_exits_4(self, tmp_path, dataset_dir, capsys, monkeypatch):
+        def broken(*args):
+            raise HanError("attention backward produced gradient (2,) for input (3,)")
+
+        monkeypatch.setattr("han.cli.train_loop", broken)
+        code = main(["train", "--manifest", str(dataset_dir / "manifest.tsv"), "--out", str(tmp_path / "o")]
+                    + FAST_TRAIN)
+        assert code == 4
+        assert capsys.readouterr().err == "internal error: attention backward produced gradient (2,) for input (3,)\n"
+
     def test_repeated_manifest_header_exits_3(self, tmp_path, dataset_dir, capsys):
         entries = load_manifest(str(dataset_dir / "manifest.tsv")).entries
         manifest = tmp_path / "manifest.tsv"
@@ -194,6 +216,14 @@ class TestTrainCommand:
         assert code == 2
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert capsys.readouterr().err.startswith("error: loss is")
+
+    @pytest.mark.filterwarnings("error")
+    def test_diverging_adam_step_prints_no_numpy_warning(self, tmp_path, dataset_dir, capsys):
+        # the loss of the one batch is finite; its Adam step overflows, and the epoch-end check reports it
+        code = main(["train", "--manifest", str(dataset_dir / "manifest.tsv"), "--out", str(tmp_path / "o")]
+                    + FAST_TRAIN + ["--max-epochs", "1", "--lr", "1e300"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: parameter joint.w is not finite after epoch 0 with lr 1e+300")
 
     def test_divergence_in_the_last_epoch_exits_2_without_checkpoint(self, tmp_path, capsys):
         data, out = tmp_path / "d", tmp_path / "o"

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -200,6 +201,34 @@ class TestIntegerParameters:
         assert len(est.history_) == 1
         save_checkpoint(est.model_, str(tmp_path / "m.ckpt"))  # the config echo is plain JSON
         assert load_checkpoint(str(tmp_path / "m.ckpt")).config == config
+
+
+class TestScalarParameters:
+    """A float, bool or partition parameter is checked where its config is built,
+    so a value of the wrong kind or a float that is not finite fails in `fit`
+    with a ConfigError naming it."""
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("lr", "0.1", "lr_init must be a finite number, got '0.1'"),
+        ("lr", np.nan, "lr_init must be a finite number, got nan"),
+        ("decay_factor", "10", "decay_factor must be a finite number, got '10'"),
+        ("dropout_rate", True, "dropout_rate must be a finite number, got True"),
+        ("partition", 5, "partition must be a name, a file path or a HandPartition, got 5"),
+        ("partition", None, "partition must be a name, a file path or a HandPartition, got None"),
+        ("pe_j", "no", "pe_j must be a bool, got 'no'"),
+        ("share_t_att", None, "share_t_att must be a bool, got None"),
+    ], ids=["lr-text", "lr-nan", "decay-text", "dropout-bool", "partition-int", "partition-none", "pe_j-text",
+            "share-none"])
+    def test_rejected_naming_the_field(self, name, value, message):
+        X, y = toy_xy(n_per_class=2)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            fast_estimator(**{name: value}).fit(X, y)
+
+    def test_numpy_scalars_and_integers_are_stored_as_python_types(self):
+        X, y = toy_xy(n_per_class=2)
+        est = fast_estimator(dropout_rate=0, lr=np.float32(0.01), pe_j=np.False_, max_epochs=1).fit(X, y)
+        config = est.model_.config
+        assert type(config.attention.dropout_rate) is float and config.pe_j is False
 
 
 class TestPredictUsesFittedGeometry:

@@ -435,8 +435,7 @@ class TestPermutationSymmetries:
         model = self.no_pe_model()
 
         def fuse(stream_feats):  # the fusion site alone, in eval mode
-            return _attend_site(model, ("Fusion",), stream_feats, model.fusion_att, model.config.pe_fusion,
-                                False, None, None).data
+            return _attend_site(model, ("Fusion",), stream_feats, model.fusion_att, False, None, None).data
 
         streams = ad.constant(RS.uniform(-1, 1, (7, 6)), dtype=np.float64)
         base = fuse(ad.reshape(streams, (1, 7, 6)))
@@ -632,7 +631,8 @@ class TestCheckpointRejects:
         with pytest.raises(CheckpointError, match=r"long\.ckpt.*1 trailing byte"):
             load_checkpoint(str(path))
 
-    @pytest.mark.parametrize("changes", [{"d_model": "wide"}, {"partition_parts": 5}])
+    @pytest.mark.parametrize("changes", [{"d_model": "wide"}, {"partition_parts": 5}, {"pe_j": "no"},
+                                         {"share_t_att": None}])
     def test_mistyped_config_values(self, tmp_path, blob, changes):
         path = tmp_path / "typed.ckpt"
         path.write_bytes(_with_config_echo(blob, **changes))
@@ -733,6 +733,12 @@ class TestCheckpointRecords:
         with pytest.raises(CheckpointError, match=r"bad\.ckpt: tensor 'joint\.w' has shape \(3, 8\), "
                                                   r"config implies \(8, 3\)"):
             self.load(tmp_path, self.join(head, [(name, (three, d), payload)] + rest))
+
+    def test_unexpected_tensor(self, tmp_path, parts):
+        head, (first, *rest) = parts
+        _, dims, payload = first
+        with pytest.raises(CheckpointError, match=r"bad\.ckpt: unexpected tensor 'joint\.x' for this config"):
+            self.load(tmp_path, self.join(head, [("joint.x", dims, payload)] + rest))
 
     def test_payload_length(self, tmp_path, parts):
         head, records = parts

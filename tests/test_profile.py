@@ -105,6 +105,19 @@ class TestFlopCount:
 
 
 class TestReport:
+    @pytest.mark.parametrize("config, params, flops, elementwise", [
+        (HANConfig(), 527_118, 38_712_718, 279_694),
+        (HANConfig(share_j_att=False, share_t_att=False), 1_970_318, 38_712_718, 279_694),
+        (HANConfig(frames=16, pe_t=False), 527_118, 76_919_182, 538_766),
+        (HANConfig(partition=FPHA21), 527_118, 37_640_590, 271_502),
+        (HANConfig(attention=AttentionConfig(n_heads=4, d_head=64), pe_j=False, pe_fusion=False),
+         527_118, 38_689_294, 256_270),
+    ], ids=["default", "unshared", "frames16-no-pe-t", "fpha21", "4x64-no-pe-j-fusion"])
+    def test_pinned_totals(self, config, params, flops, elementwise):
+        report = cost_report(config)
+        rows = {r.module: r.flops for r in report.rows}
+        assert (report.param_total, report.flop_total, rows["elementwise"]) == (params, flops, elementwise)
+
     def test_rows_sum_to_totals(self):
         report = cost_report(paper_config())
         assert sum(r.params for r in report.rows) == report.param_total
