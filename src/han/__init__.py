@@ -6,15 +6,10 @@ and the seven resulting streams to one gesture feature, all trained with a
 small reverse-mode autodiff engine included here.
 """
 
-from .attention import (
-    AttentionConfig,
-    AttentionParams,
-    attend_batch,
-    positional_embedding,
-)
+from .attention import AttentionParams, attend_batch, positional_embedding
 from .autodiff import GradientTape, Tensor, backward
+from .config import AttentionConfig, AugmentationConfig, HANConfig, TrainConfig
 from .data import (
-    AugmentationConfig,
     Dataset,
     HandPartition,
     SkeletonSequence,
@@ -26,7 +21,6 @@ from .data import (
 )
 from .estimator import HANClassifier
 from .model import (
-    HANConfig,
     HANModel,
     extract_attention,
     forward,
@@ -40,7 +34,6 @@ from .rng import Rng
 from .train import (
     AdamState,
     EvalReport,
-    TrainConfig,
     adam_step,
     cross_entropy,
     evaluate,

@@ -25,41 +25,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ShapeError, UsageError
+from .config import AttentionConfig
+from .errors import ShapeError, UsageError
 from .rng import Rng
-
-# the widest d_model and n_heads·d_head a config, flag or checkpoint may
-# declare; the model allocates its weight matrices and position table for them
-MAX_WIDTH = 4_096
-
-
-@dataclass(frozen=True)
-class AttentionConfig:
-    d_model: int = 128
-    n_heads: int = 8
-    d_head: int = 32
-    dropout_rate: float = 0.1
-
-    def __post_init__(self):
-        if self.d_model < 1 or self.n_heads < 1 or self.d_head < 1:
-            raise ConfigError(
-                f"attention dims must be >= 1, got d_model={self.d_model}, "
-                f"n_heads={self.n_heads}, d_head={self.d_head}"
-            )
-        for name, width in (("d_model", self.d_model), ("n_heads*d_head", self.heads_width)):
-            if width > MAX_WIDTH:
-                raise ConfigError(f"{name} must be in [1, {MAX_WIDTH}], got {width}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-
-    @property
-    def heads_width(self) -> int:
-        return self.n_heads * self.d_head
-
-    def param_count(self) -> int:
-        """Learnable scalars in one block: 3 QKV projections, output projection, bias."""
-        return 3 * (self.heads_width * self.d_model) + self.d_model * self.heads_width + self.d_model
-
 
 @dataclass
 class AttentionParams:

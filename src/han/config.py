@@ -1,13 +1,13 @@
-"""Run configuration: the model and training dataclasses, and the one flat schema over them.
+"""Run configuration: every config dataclass, the field check they share, and the one flat schema over them.
 
 `AttentionConfig`, `HANConfig`, `TrainConfig` and `AugmentationConfig` are the
-only place that holds a field's name, type and default. The CLI keys and
-flags, the estimator's parameters and the checkpoint's config echo are flat
-views of those fields with the nested configs inlined, and `build_configs`
-is the one path from a flat mapping back to `(HANConfig, TrainConfig)`.
+only place that holds a field's name, type and default. Each checks its own
+fields by their declared types when built (`check_fields`), so a config built
+directly in Python is checked as one built from flags, a file or a checkpoint.
+The CLI keys and flags, the estimator's parameters and the checkpoint's config
+echo are flat views of those fields with the nested configs inlined, and
+`build_configs` is the one path from a flat mapping back to `(HANConfig, TrainConfig)`.
 """
-
-from __future__ import annotations
 
 import dataclasses
 import math
@@ -16,14 +16,107 @@ import types
 import typing
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
-from .attention import AttentionConfig
-from .data import (MAX_CLASSES, MAX_FRAMES, SHREC22, AugmentationConfig, HandPartition,
-                   default_partition, is_integer, resolve_partition)
+from .data import (MAX_CLASSES, MAX_FRAMES, SHREC22, HandPartition, default_partition, is_integer,
+                   resolve_partition)
 from .errors import ConfigError
+
+# the widest d_model and n_heads·d_head a config, flag or checkpoint may
+# declare; the model allocates its weight matrices and position table for them
+MAX_WIDTH = 4_096
+
+
+def check_fields(config) -> None:
+    """Check every field of a config dataclass by its declared type and store what `_scalar` returns."""
+    for f in dataclasses.fields(config):
+        object.__setattr__(config, f.name, _scalar(f.name, f.type, getattr(config, f.name)))
+
+
+def _scalar(name: str, kind, value):
+    """What a field of type `kind` stores for `value`, or a ConfigError naming the field.
+
+    An int takes an integer (a bool is not one); a float a finite real number (an
+    integer too, never a bool); a bool a bool or a numpy bool; a class an instance
+    of it. `X | None` also takes None.
+    """
+    if isinstance(kind, types.UnionType):
+        if value is None:
+            return None
+        kind = typing.get_args(kind)[0]
+    if kind is int and not is_integer(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if kind is float and not (abs(int(value)) <= sys.float_info.max if is_integer(value)
+                              else isinstance(value, (float, np.floating)) and math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if kind is bool and not isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"{name} must be a bool, got {value!r}")
+    if kind not in (int, float, bool) and not isinstance(value, kind):
+        raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    return kind(value) if kind in (int, float, bool) else value
+
+
+def check_seed(seed) -> int:
+    """A seed as an int: an integer >= 0, or a ConfigError naming `seed`."""
+    seed = _scalar("seed", int, seed)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
+@dataclass(frozen=True)
+class AttentionConfig:
+    d_model: int = 128
+    n_heads: int = 8
+    d_head: int = 32
+    dropout_rate: float = 0.1
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.d_model < 1 or self.n_heads < 1 or self.d_head < 1:
+            raise ConfigError(
+                f"attention dims must be >= 1, got d_model={self.d_model}, "
+                f"n_heads={self.n_heads}, d_head={self.d_head}"
+            )
+        for name, width in (("d_model", self.d_model), ("n_heads*d_head", self.heads_width)):
+            if width > MAX_WIDTH:
+                raise ConfigError(f"{name} must be in [1, {MAX_WIDTH}], got {width}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+
+    @property
+    def heads_width(self) -> int:
+        return self.n_heads * self.d_head
+
+    def param_count(self) -> int:
+        """Learnable scalars in one block: 3 QKV projections, output projection, bias."""
+        return 3 * (self.heads_width * self.d_model) + self.d_model * self.heads_width + self.d_model
+
+
+@dataclass(frozen=True)
+class AugmentationConfig:
+    """Per-sequence random transforms applied during training only.
+
+    Magnitudes are conventional defaults and fully overridable; zeroing all
+    of them (and both scale bounds at 1) makes augmentation the identity.
+    The scale factor is uniform in [scale_min, scale_max]. `time_jitter` is
+    the phase shift bound in frames for temporal re-interpolation; 0 disables it.
+    """
+
+    scale_min: float = 0.9
+    scale_max: float = 1.1
+    shift_range: float = 0.05
+    time_jitter: float = 0.5
+    noise_std: float = 0.001
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.scale_min <= 0 or self.scale_max < self.scale_min:
+            raise ConfigError(f"scale_min and scale_max must be positive and ordered, "
+                              f"got {self.scale_min} and {self.scale_max}")
+        if self.shift_range < 0 or self.time_jitter < 0 or self.noise_std < 0:
+            raise ConfigError("augmentation magnitudes must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -40,6 +133,7 @@ class HANConfig:
     share_t_att: bool = True
 
     def __post_init__(self):
+        check_fields(self)
         if not 1 <= self.frames <= MAX_FRAMES:
             raise ConfigError(f"frames must be in [1, {MAX_FRAMES}], got {self.frames}")
         if not 2 <= self.class_count <= MAX_CLASSES:
@@ -72,11 +166,12 @@ class TrainConfig:
     plateau_patience: int = 10
     decay_factor: float = 10.0
     max_decays: int = 4
-    seed: int = 0
     max_epochs: int | None = None
     augmentation: AugmentationConfig | None = field(default_factory=AugmentationConfig)
+    seed: int = 0  # last: it drives model initialization as well as training
 
     def __post_init__(self):
+        check_fields(self)
         if self.lr_init <= 0:
             raise ConfigError(f"lr_init must be positive, got {self.lr_init}")
         if self.decay_factor <= 1:
@@ -89,13 +184,11 @@ class TrainConfig:
             raise ConfigError("warmup_epochs must be >= 0 and plateau_patience >= 1")
         if self.max_epochs is not None and self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
 
 
 # fields holding a nested config, whose own fields the flat views inline
 _NESTED = {"attention": AttentionConfig, "augmentation": AugmentationConfig}
-_HINTS = {cls: typing.get_type_hints(cls) for cls in (HANConfig, TrainConfig, *_NESTED.values())}
 
 
 def _flatten(config) -> dict:
@@ -108,38 +201,14 @@ def _flatten(config) -> dict:
 
 
 def _unflatten(cls, values: Mapping):
-    """A cls instance from flat field values; a nested config absent from them is built from them.
-
-    Every flat mapping becomes a config here, so this is where each scalar field is
-    checked (`_scalar`); an `int | None` field also takes None.
-    """
-    hints = _HINTS[cls]
+    """A cls instance from flat field values; a nested config absent from them is built from them."""
     kwargs = {}
     for f in dataclasses.fields(cls):
         if f.name not in values and f.name in _NESTED:
             kwargs[f.name] = _unflatten(_NESTED[f.name], values)
-            continue
-        value, kind = values[f.name], hints[f.name]
-        if kind == int | None:
-            kind = None if value is None else int
-        kwargs[f.name] = _scalar(f.name, kind, value)
+        else:
+            kwargs[f.name] = values[f.name]
     return cls(**kwargs)
-
-
-def _scalar(name: str, kind, value):
-    """What a field of type `kind` stores for `value`, or a ConfigError naming the field.
-
-    An int takes an integer (a bool is not one); a float a finite real number (an
-    integer too, never a bool); a bool a bool or a numpy bool. Other kinds pass as they are.
-    """
-    if kind is int and not is_integer(value):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if kind is float and not (abs(int(value)) <= sys.float_info.max if is_integer(value)
-                              else isinstance(value, (float, np.floating)) and math.isfinite(value)):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    if kind is bool and not isinstance(value, (bool, np.bool_)):
-        raise ConfigError(f"{name} must be a bool, got {value!r}")
-    return kind(value) if kind in (int, float, bool) else value
 
 
 # the flat spellings of four fields; every other field's flat key is its name
@@ -148,35 +217,28 @@ _SPELLING = {name: key for key, name in ALIASES.items()}
 
 # flat keys in place of a field that is not one scalar, as (key, type, default):
 # the partition is "auto", a built-in name or a file path, and it fixes the joint
-# count; augmentation is a switch plus the scale bounds. The seed drives model
-# initialization as well as training, so it is listed last, on its own.
+# count; augmentation is a switch plus the magnitudes of its own fields
 _STAND_INS = {
     "partition": (("joints", int, HANConfig().joint_count), ("partition", str, "auto")),
     "augmentation": (("augment", bool, TrainConfig().augmentation is not None),),
-    "scale_range": (
-        ("scale_min", float, AugmentationConfig().scale_range[0]),
-        ("scale_max", float, AugmentationConfig().scale_range[1]),
-    ),
-    "seed": (),
 }
 
 
 def _flat_keys(cls):
     """(flat key, type, default) for every field of a config class, in field order."""
-    hints = _HINTS[cls]
     defaults = cls()
     for f in dataclasses.fields(cls):
         yield from _STAND_INS.get(f.name, ())
         if f.name in _NESTED:
             yield from _flat_keys(_NESTED[f.name])
         elif f.name not in _STAND_INS:
-            kind = hints[f.name]
+            kind = f.type
             if isinstance(kind, types.UnionType):  # `int | None` parses as int
                 kind = typing.get_args(kind)[0]
             yield _SPELLING.get(f.name, f.name), kind, getattr(defaults, f.name)
 
 
-_TABLE = [*_flat_keys(HANConfig), *_flat_keys(TrainConfig), ("seed", int, TrainConfig().seed)]
+_TABLE = [*_flat_keys(HANConfig), *_flat_keys(TrainConfig)]
 CONFIG_KEYS: dict[str, type] = {key: kind for key, kind, _ in _TABLE}
 DEFAULTS: dict = {key: default for key, _, default in _TABLE}
 
@@ -186,13 +248,13 @@ def build_configs(values: Mapping) -> tuple[HANConfig, TrainConfig]:
 
     Keys are the flat keys of CONFIG_KEYS or the field names they alias.
     `partition` may also be a HandPartition. A `joints` value, such as the
-    joint count of the data, must agree with the partition.
+    joint count of the data, must agree with the partition. The augmentation
+    magnitudes are checked with `augment` off too.
     """
     flat = {ALIASES.get(key, key): value for key, value in DEFAULTS.items()}
     flat.update((ALIASES.get(key, key), value) for key, value in values.items())
-    for key, kind, _ in chain.from_iterable(_STAND_INS.values()):  # no field check sees these keys
-        if key != "partition":
-            flat[key] = _scalar(key, kind, flat[key])
+    # no field check sees these keys
+    flat.update((key, _scalar(key, CONFIG_KEYS[key], flat[key])) for key in ("joints", "augment"))
     partition = flat["partition"]
     if not isinstance(partition, (str, HandPartition)):
         raise ConfigError(f"partition must be a name, a file path or a HandPartition, got {partition!r}")
@@ -202,6 +264,6 @@ def build_configs(values: Mapping) -> tuple[HANConfig, TrainConfig]:
         raise ConfigError(
             f"joints={values['joints']} but partition '{partition.name}' covers {partition.joint_count} joints"
         )
-    flat.update(partition=partition, scale_range=(flat["scale_min"], flat["scale_max"]))
-    flat["augmentation"] = _unflatten(AugmentationConfig, flat) if flat["augment"] else None
+    augmentation = _unflatten(AugmentationConfig, flat)
+    flat.update(partition=partition, augmentation=augmentation if flat["augment"] else None)
     return _unflatten(HANConfig, flat), _unflatten(TrainConfig, flat)

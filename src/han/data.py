@@ -21,11 +21,15 @@ import io
 import os
 from dataclasses import dataclass
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
 from .rng import Rng
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import AugmentationConfig
 
 # the most classes and sampled frames a manifest, config or checkpoint may
 # declare; the model allocates its head and position table for them
@@ -257,6 +261,8 @@ def uniform_sample(seq: SkeletonSequence, target_frames: int) -> SkeletonSequenc
     shorter sequences are linearly interpolated at the same grid. A sequence
     already at the target length is returned unchanged.
     """
+    if not is_integer(target_frames):
+        raise ConfigError(f"target_frames must be an integer, got {target_frames!r}")
     if target_frames < 1:
         raise ConfigError(f"target_frames must be >= 1, got {target_frames}")
     t = seq.frame_count
@@ -282,28 +288,6 @@ def _interpolate_frames(frames: np.ndarray, positions: np.ndarray) -> np.ndarray
     return frames[lo] * (1.0 - w) + frames[hi] * w
 
 
-@dataclass(frozen=True)
-class AugmentationConfig:
-    """Per-sequence random transforms applied during training only.
-
-    Magnitudes are conventional defaults and fully overridable; zeroing all
-    of them makes augmentation the identity. `time_jitter` is the phase
-    shift bound in frames for temporal re-interpolation; 0 disables it.
-    """
-
-    scale_range: tuple[float, float] = (0.9, 1.1)
-    shift_range: float = 0.05
-    time_jitter: float = 0.5
-    noise_std: float = 0.001
-
-    def __post_init__(self):
-        lo, hi = self.scale_range
-        if lo <= 0 or hi <= 0 or hi < lo:
-            raise ConfigError(f"scale_range bounds must be positive and ordered, got {self.scale_range}")
-        if self.shift_range < 0 or self.time_jitter < 0 or self.noise_std < 0:
-            raise ConfigError("augmentation magnitudes must be nonnegative")
-
-
 def augment(seq: SkeletonSequence, config: AugmentationConfig, rng: Rng) -> SkeletonSequence:
     """Scale, shift, temporally re-interpolate, and perturb one sequence.
 
@@ -311,7 +295,7 @@ def augment(seq: SkeletonSequence, config: AugmentationConfig, rng: Rng) -> Skel
     count and label are preserved.
     """
     frames = seq.frames
-    factor = rng.uniform(None, config.scale_range[0], config.scale_range[1])
+    factor = rng.uniform(None, config.scale_min, config.scale_max)
     frames = frames * factor
     offset = rng.uniform((3,), -config.shift_range, config.shift_range)
     frames = frames + offset

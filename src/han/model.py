@@ -39,7 +39,7 @@ import numpy as np
 from . import autodiff as ad
 from .attention import AttentionParams, attend_batch, param_table, positional_embedding
 from .autodiff import Tensor
-from .config import HANConfig
+from .config import HANConfig, check_seed
 from .data import PART_COUNT, SkeletonSequence, is_integer, uniform_sample
 from .errors import CheckpointError, ConfigError, DataError, UsageError
 from .rng import Rng
@@ -56,7 +56,7 @@ class HANModel:
     """Parameter set for one configuration; see `parameters` for the registry."""
 
     def __init__(self, config: HANConfig, dtype=ad.DEFAULT_DTYPE, seed: int = 0):
-        rng = Rng(seed, "init")
+        rng = Rng(check_seed(seed), "init")
         self._build(config, dtype, lambda name, shape, bound: rng.uniform(shape, -bound, bound) if bound
                     else np.zeros(shape))
 

@@ -8,14 +8,13 @@ well, so no two templates coincide. Samples of a class differ by phase,
 amplitude jitter, frame count, and coordinate noise.
 """
 
-from __future__ import annotations
-
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_fields, check_seed
 from .data import MAX_CLASSES, MAX_FRAMES, SkeletonSequence, default_partition, write_sequence
 from .errors import ConfigError
 from .rng import Rng
@@ -32,6 +31,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if not 2 <= self.classes <= MAX_CLASSES:
             raise ConfigError(f"classes must be in [2, {MAX_CLASSES}], got {self.classes}")
         if self.per_class < 1:
@@ -44,8 +44,7 @@ class SynthConfig:
         if not 2 <= self.min_frames <= self.max_frames <= MAX_FRAMES:
             raise ConfigError(f"frame range must satisfy 2 <= min_frames <= max_frames <= {MAX_FRAMES}, "
                               f"got {self.min_frames} and {self.max_frames}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
         default_partition(self.joints)  # a joint count with no built-in layout fails before anything is written
 
 

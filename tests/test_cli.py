@@ -143,6 +143,16 @@ class TestTrainCommand:
         assert capsys.readouterr().err == f"error: {field} must be a finite number, got {value}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--time-jitter", "inf", "time_jitter must be a finite number, got inf"),
+        ("--scale-min", "nan", "scale_min must be a finite number, got nan"),
+        ("--noise-std", "-1", "augmentation magnitudes must be nonnegative"),
+        ("--scale-max", "0.5", "scale_min and scale_max must be positive and ordered, got 0.9 and 0.5"),
+    ])
+    def test_no_augment_still_checks_the_magnitudes(self, capsys, flag, value, message):
+        assert main(["profile", "--no-augment", flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_internal_error_exits_4(self, tmp_path, dataset_dir, capsys, monkeypatch):
         def broken(*args):
             raise HanError("attention backward produced gradient (2,) for input (3,)")

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from han import data
+from han.config import AugmentationConfig
 from han.data import (
     FPHA21,
     SHREC22,
-    AugmentationConfig,
     HandPartition,
     SkeletonSequence,
     augment,
@@ -254,6 +254,15 @@ class TestUniformSample:
         with pytest.raises(ConfigError, match=f"target_frames must be >= 1, got {target}"):
             uniform_sample(make_seq(t=5), target)
 
+    @pytest.mark.parametrize("target", [2.5, 8.0, True, "8"])
+    def test_target_that_is_not_an_integer_rejected(self, target):
+        with pytest.raises(ConfigError, match=re.escape(f"target_frames must be an integer, got {target!r}")):
+            uniform_sample(make_seq(t=5), target)
+
+    def test_numpy_integer_target_accepted(self):
+        seq = make_seq(t=15)
+        assert np.array_equal(uniform_sample(seq, np.int64(8)).frames, uniform_sample(seq, 8).frames)
+
     def test_one_frame_target_keeps_the_first_frame(self):
         seq = make_seq(t=5)
         out = uniform_sample(seq, 1)
@@ -283,14 +292,14 @@ class TestUniformSample:
 class TestAugment:
     def test_zero_magnitudes_are_identity(self):
         seq = make_seq()
-        config = AugmentationConfig(scale_range=(1.0, 1.0), shift_range=0.0, time_jitter=0.0, noise_std=0.0)
+        config = AugmentationConfig(scale_min=1.0, scale_max=1.0, shift_range=0.0, time_jitter=0.0, noise_std=0.0)
         out = augment(seq, config, Rng(3, "a"))
         assert np.array_equal(out.frames, seq.frames)
         assert out.label == seq.label
 
     def test_pure_scale(self):
         seq = make_seq()
-        config = AugmentationConfig(scale_range=(2.0, 2.0), shift_range=0.0, time_jitter=0.0, noise_std=0.0)
+        config = AugmentationConfig(scale_min=2.0, scale_max=2.0, shift_range=0.0, time_jitter=0.0, noise_std=0.0)
         out = augment(seq, config, Rng(3, "a"))
         assert np.allclose(out.frames, 2.0 * seq.frames)
 
@@ -309,7 +318,7 @@ class TestAugment:
 
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
-            AugmentationConfig(scale_range=(0.0, 1.0))
+            AugmentationConfig(scale_min=0.0, scale_max=1.0)
         with pytest.raises(ConfigError):
             AugmentationConfig(noise_std=-1.0)
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 import warnings
 
@@ -106,6 +107,16 @@ class TestForwardBasics:
     def test_registry_count_at_defaults(self):
         model = HANModel(HANConfig(), seed=0)
         assert model.param_count() == 527_118
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be >= 0, got -1"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (True, "seed must be an integer, got True"),
+        ("1", "seed must be an integer, got '1'"),
+    ], ids=["negative", "fraction", "bool", "text"])
+    def test_bad_seed_rejected(self, seed, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            HANModel(tiny_config(), seed=seed)
 
     def test_shared_blocks_are_identical_objects(self):
         model = HANModel(tiny_config(), seed=2)

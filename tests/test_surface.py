@@ -1,21 +1,25 @@
-"""Snapshot of the configuration surface: config keys and defaults, estimator
-parameters, the checkpoint's config echo, and the arguments of the attention
-block, of the model's forward and of the sequence-file parser.
+"""Snapshot of the configuration surface: config keys and defaults, the config
+dataclasses' fields, estimator parameters, the checkpoint's config echo, and the
+arguments of the attention block, of the model's forward and of the sequence-file parser.
 
-A change here is a new option, a renamed key, a changed default or a new block
-or forward argument. Update the expected values only on purpose, and say so where the
+A change here is a new option, a renamed key or field, a changed default or a new
+block or forward argument. Update the expected values only on purpose, and say so where the
 change is recorded.
 """
 
+import dataclasses
 import inspect
 import json
 
+import pytest
+
 from han import cli
 from han.attention import attend_batch
-from han.config import CONFIG_KEYS, DEFAULTS, TrainConfig, build_configs
+from han.config import CONFIG_KEYS, DEFAULTS, AttentionConfig, AugmentationConfig, TrainConfig, build_configs
 from han.data import parse_sequence
 from han.estimator import HANClassifier
 from han.model import HANConfig, forward
+from han.synth import SynthConfig
 
 EXPECTED_DEFAULTS = {
     "d_model": 128, "heads": 8, "d_head": 32, "dropout": 0.1, "frames": 8, "classes": 14,
@@ -49,6 +53,17 @@ EXPECTED_CONFIG_ECHO = (
     '[14,15,16,17],[18,19,20,21],[0,1]],"pe_f":true,"pe_fusion":true,"pe_j":true,"pe_t":true,'
     '"share_j_att":true,"share_t_att":true}'
 )
+
+# each config dataclass's field names in order; a field is renamed, added or moved only on purpose
+EXPECTED_FIELDS = {
+    AttentionConfig: ["d_model", "n_heads", "d_head", "dropout_rate"],
+    AugmentationConfig: ["scale_min", "scale_max", "shift_range", "time_jitter", "noise_std"],
+    HANConfig: ["attention", "frames", "class_count", "partition", "pe_j", "pe_f", "pe_t", "pe_fusion",
+                "share_j_att", "share_t_att"],
+    TrainConfig: ["lr_init", "batch_size", "warmup_epochs", "plateau_patience", "decay_factor", "max_decays",
+                  "max_epochs", "augmentation", "seed"],
+    SynthConfig: ["classes", "per_class", "joints", "test_fraction", "min_frames", "max_frames", "seed"],
+}
 
 EXPECTED_ATTEND_BATCH_PARAMS = ["x", "params", "config", "training", "rng", "weights_out", "pe", "embed"]
 
@@ -92,6 +107,11 @@ def test_estimator_params():
 
 def test_checkpoint_config_echo():
     assert json.dumps(HANConfig().to_dict(), sort_keys=True, separators=(",", ":")) == EXPECTED_CONFIG_ECHO
+
+
+@pytest.mark.parametrize("cls", list(EXPECTED_FIELDS), ids=lambda cls: cls.__name__)
+def test_config_dataclass_fields(cls):
+    assert [f.name for f in dataclasses.fields(cls)] == EXPECTED_FIELDS[cls]
 
 
 def test_attend_batch_parameters():
