@@ -1,8 +1,8 @@
-"""Run configuration: every config dataclass, the field check they share, and the one flat schema over them.
+"""Run configuration: every config dataclass and the one flat schema over them.
 
 `AttentionConfig`, `HANConfig`, `TrainConfig` and `AugmentationConfig` are the
 only place that holds a field's name, type and default. Each checks its own
-fields by their declared types when built (`check_fields`), so a config built
+fields by their declared types when built (`han.data.check_fields`), so a config built
 directly in Python is checked as one built from flags, a file or a checkpoint.
 The CLI keys and flags, the estimator's parameters and the checkpoint's config
 echo are flat views of those fields with the nested configs inlined, and
@@ -10,59 +10,18 @@ echo are flat views of those fields with the nested configs inlined, and
 """
 
 import dataclasses
-import math
-import sys
 import types
 import typing
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .data import (MAX_CLASSES, MAX_FRAMES, SHREC22, HandPartition, default_partition, is_integer,
-                   resolve_partition)
+from .data import (MAX_CLASSES, MAX_FRAMES, SHREC22, HandPartition, _scalar, check_fields, check_seed,
+                   default_partition, resolve_partition)
 from .errors import ConfigError
 
 # the widest d_model and n_heads·d_head a config, flag or checkpoint may
 # declare; the model allocates its weight matrices and position table for them
 MAX_WIDTH = 4_096
-
-
-def check_fields(config) -> None:
-    """Check every field of a config dataclass by its declared type and store what `_scalar` returns."""
-    for f in dataclasses.fields(config):
-        object.__setattr__(config, f.name, _scalar(f.name, f.type, getattr(config, f.name)))
-
-
-def _scalar(name: str, kind, value):
-    """What a field of type `kind` stores for `value`, or a ConfigError naming the field.
-
-    An int takes an integer (a bool is not one); a float a finite real number (an
-    integer too, never a bool); a bool a bool or a numpy bool; a class an instance
-    of it. `X | None` also takes None.
-    """
-    if isinstance(kind, types.UnionType):
-        if value is None:
-            return None
-        kind = typing.get_args(kind)[0]
-    if kind is int and not is_integer(value):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if kind is float and not (abs(int(value)) <= sys.float_info.max if is_integer(value)
-                              else isinstance(value, (float, np.floating)) and math.isfinite(value)):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    if kind is bool and not isinstance(value, (bool, np.bool_)):
-        raise ConfigError(f"{name} must be a bool, got {value!r}")
-    if kind not in (int, float, bool) and not isinstance(value, kind):
-        raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
-    return kind(value) if kind in (int, float, bool) else value
-
-
-def check_seed(seed) -> int:
-    """A seed as an int: an integer >= 0, or a ConfigError naming `seed`."""
-    seed = _scalar("seed", int, seed)
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    return seed
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Skeleton sequence ingestion, hand partitioning, sampling, and augmentation.
+"""Skeleton sequence ingestion, hand partitioning, sampling, augmentation, and the dataclass field check.
 
 File formats
 ------------
@@ -15,21 +15,20 @@ Partition file: 6 lines, each a comma-separated list of joint indices, in
 the order thumb, index, middle, ring, pinky, palm group.
 """
 
-from __future__ import annotations
-
+import dataclasses
 import io
+import math
 import os
+import sys
+import types
+import typing
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
 from .rng import Rng
-
-if TYPE_CHECKING:  # config imports this module
-    from .config import AugmentationConfig
 
 # the most classes and sampled frames a manifest, config or checkpoint may
 # declare; the model allocates its head and position table for them
@@ -46,6 +45,44 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def check_fields(obj) -> None:
+    """Check every field of a dataclass by its declared type and store what `_scalar` returns."""
+    for f in dataclasses.fields(obj):
+        object.__setattr__(obj, f.name, _scalar(f.name, f.type, getattr(obj, f.name)))
+
+
+def _scalar(name: str, kind, value):
+    """What a field of type `kind` stores for `value`, or a ConfigError naming the field.
+
+    An int takes an integer (a bool is not one); a float a finite real number (an
+    integer too, never a bool); a bool a bool or a numpy bool; a class an instance
+    of it, and a generic such as `tuple[int, ...]` an instance of its origin.
+    `X | None` also takes None.
+    """
+    if isinstance(kind, types.UnionType):
+        if value is None:
+            return None
+        kind = typing.get_args(kind)[0]
+    if kind is int and not is_integer(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if kind is float and not (abs(int(value)) <= sys.float_info.max if is_integer(value)
+                              else isinstance(value, (float, np.floating)) and math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if kind is bool and not isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"{name} must be a bool, got {value!r}")
+    if kind not in (int, float, bool) and not isinstance(value, typing.get_origin(kind) or kind):
+        raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    return kind(value) if kind in (int, float, bool) else value
+
+
+def check_seed(seed) -> int:
+    """A seed as an int: an integer >= 0, or a ConfigError naming `seed`."""
+    seed = _scalar("seed", int, seed)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class HandPartition:
     """Assignment of every joint index to one of 6 hand parts."""
@@ -54,6 +91,8 @@ class HandPartition:
     name: str = "custom"
 
     def __post_init__(self):
+        object.__setattr__(self, "parts", tuple(map(tuple, self.parts)))  # lists of lists too
+        check_fields(self)
         if len(self.parts) != PART_COUNT:
             raise ConfigError(f"partition needs exactly {PART_COUNT} parts, got {len(self.parts)}")
         seen: set[int] = set()
@@ -170,6 +209,7 @@ class SkeletonSequence:
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
+        check_fields(self)  # a numpy integer label is stored as int
         if self.frames.ndim != 3 or self.frames.shape[2] != 3 or self.frames.shape[0] < 1:
             raise DataError(f"sequence frames must be (T, J, 3) with T >= 1, got {self.frames.shape}")
         if not np.all(np.isfinite(self.frames)):
@@ -261,9 +301,7 @@ def uniform_sample(seq: SkeletonSequence, target_frames: int) -> SkeletonSequenc
     shorter sequences are linearly interpolated at the same grid. A sequence
     already at the target length is returned unchanged.
     """
-    if not is_integer(target_frames):
-        raise ConfigError(f"target_frames must be an integer, got {target_frames!r}")
-    if target_frames < 1:
+    if _scalar("target_frames", int, target_frames) < 1:
         raise ConfigError(f"target_frames must be >= 1, got {target_frames}")
     t = seq.frame_count
     if t == target_frames:
@@ -288,8 +326,8 @@ def _interpolate_frames(frames: np.ndarray, positions: np.ndarray) -> np.ndarray
     return frames[lo] * (1.0 - w) + frames[hi] * w
 
 
-def augment(seq: SkeletonSequence, config: AugmentationConfig, rng: Rng) -> SkeletonSequence:
-    """Scale, shift, temporally re-interpolate, and perturb one sequence.
+def augment(seq: SkeletonSequence, config, rng: Rng) -> SkeletonSequence:
+    """Scale, shift, temporally re-interpolate, and perturb one sequence by an `AugmentationConfig`.
 
     Each transform draws once per sequence from `rng`; frame count, joint
     count and label are preserved.

@@ -39,8 +39,8 @@ import numpy as np
 from . import autodiff as ad
 from .attention import AttentionParams, attend_batch, param_table, positional_embedding
 from .autodiff import Tensor
-from .config import HANConfig, check_seed
-from .data import PART_COUNT, SkeletonSequence, is_integer, uniform_sample
+from .config import HANConfig
+from .data import PART_COUNT, SkeletonSequence, check_seed, is_integer, uniform_sample
 from .errors import CheckpointError, ConfigError, DataError, UsageError
 from .rng import Rng
 
@@ -146,9 +146,11 @@ def _batch_array(seqs, model: HANModel) -> np.ndarray:
                  for seq, frames in zip(seqs, batch)]
     with np.errstate(over="ignore"):  # an overflowing cast is reported below, per row
         frames = np.asarray(batch, dtype=model.dtype)
-    for row, ok in enumerate(np.isfinite(frames).all(axis=(1, 2, 3))):
-        if not ok:
-            raise DataError(f"sequence {row} of the batch has coordinates beyond {frames.dtype} range")
+        for row, ok in enumerate(np.isfinite(frames).all(axis=(1, 2, 3))):
+            if not ok:
+                finite = np.isfinite(np.asarray(batch[row], dtype=np.float64)).all()
+                what = f"coordinates beyond {frames.dtype} range" if finite else "non-finite coordinates"
+                raise DataError(f"sequence {row} of the batch has {what}")
     return frames
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import check_fields, check_seed
-from .data import MAX_CLASSES, MAX_FRAMES, SkeletonSequence, default_partition, write_sequence
+from .data import (MAX_CLASSES, MAX_FRAMES, SkeletonSequence, check_fields, check_seed, default_partition,
+                   write_sequence)
 from .errors import ConfigError
 from .rng import Rng
 

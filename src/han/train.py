@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import GradientTape, Tensor
 from .config import TrainConfig
 from .data import SkeletonSequence, augment, write_table
-from .errors import ConfigError, UsageError
+from .errors import ConfigError, DataError, UsageError
 from .model import HANModel, forward, probabilities
 from .rng import Rng
 
@@ -151,15 +151,19 @@ def evaluate(model: HANModel, sequences: list[SkeletonSequence]) -> EvalReport:
 
     A sequence whose forward overflows still fills a confusion-matrix row,
     but it is named in `first_non_finite` and the accuracy is nan: never a
-    silent class-0 score.
+    silent class-0 score. A label outside the model's classes is a DataError.
     """
+    classes = model.config.class_count
+    for i, seq in enumerate(sequences):
+        if not 0 <= seq.label < classes:
+            raise DataError(f"sequence {i} has label {seq.label}, outside the model's {classes} classes")
     pred, bad = [], None
     if sequences:
         probs = probabilities(sequences, model)
         finite = np.isfinite(probs).all(axis=1)
         bad = None if finite.all() else int(np.argmin(finite))
         pred = np.argmax(probs, axis=1)
-    report = metrics_from_pairs([seq.label for seq in sequences], pred, model.config.class_count)
+    report = metrics_from_pairs([seq.label for seq in sequences], pred, classes)
     return report if bad is None else replace(report, accuracy=math.nan, first_non_finite=bad)
 
 

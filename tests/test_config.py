@@ -1,7 +1,7 @@
-"""Every config dataclass checks its own fields when built, whatever builds it.
+"""Every config dataclass and value type checks its own fields when built, whatever builds it.
 
-The cases are derived from `dataclasses.fields`, so a field added later is
-covered without an edit here.
+The config cases are derived from `dataclasses.fields`, so a field added later
+is covered without an edit here.
 """
 
 import dataclasses
@@ -14,13 +14,19 @@ import numpy as np
 import pytest
 
 from han.config import AttentionConfig, AugmentationConfig, HANConfig, TrainConfig
+from han.data import SHREC22, HandPartition, SkeletonSequence
 from han.errors import ConfigError
 from han.synth import SynthConfig
 
 CONFIG_CLASSES = [AttentionConfig, AugmentationConfig, HANConfig, TrainConfig, SynthConfig]
 
+# the value types, each with a valid base for its required fields and the fields
+# checked here; `frames` and `parts` keep their own checks
+VALUE_TYPES = {SkeletonSequence: ({"frames": np.zeros((3, 22, 3)), "label": 0}, ["label"]),
+               HandPartition: ({"parts": SHREC22.parts}, ["name"])}
+
 # values of the wrong kind for each declared type; a class-typed field gets a string
-WRONG_KIND = {int: [2.5, True, "8"], float: [math.nan, math.inf, True], bool: ["no"]}
+WRONG_KIND = {int: [2.5, True, "8"], float: [math.nan, math.inf, True], bool: ["no"], str: [5]}
 
 
 def _kind(f):
@@ -28,16 +34,19 @@ def _kind(f):
 
 
 def _wrong_kind_cases():
-    for cls in CONFIG_CLASSES:
-        for f in dataclasses.fields(cls):
+    cases = [(cls, {}, dataclasses.fields(cls)) for cls in CONFIG_CLASSES]
+    cases += [(cls, base, [f for f in dataclasses.fields(cls) if f.name in names])
+              for cls, (base, names) in VALUE_TYPES.items()]
+    for cls, base, fields in cases:
+        for f in fields:
             for value in WRONG_KIND.get(_kind(f), ["text"]):
-                yield pytest.param(cls, f.name, value, id=f"{cls.__name__}.{f.name}={value!r}")
+                yield pytest.param(cls, base, f.name, value, id=f"{cls.__name__}.{f.name}={value!r}")
 
 
-@pytest.mark.parametrize("cls, name, value", _wrong_kind_cases())
-def test_wrong_kind_rejected_naming_the_field(cls, name, value):
+@pytest.mark.parametrize("cls, base, name, value", _wrong_kind_cases())
+def test_wrong_kind_rejected_naming_the_field(cls, base, name, value):
     with pytest.raises(ConfigError, match=f"^{name} must be "):
-        cls(**{name: value})
+        cls(**dict(base, **{name: value}))
 
 
 @pytest.mark.parametrize("build, message", [
@@ -49,8 +58,10 @@ def test_wrong_kind_rejected_naming_the_field(cls, name, value):
     (lambda: HANConfig(attention="small"), "attention must be of type AttentionConfig, got 'small'"),
     (lambda: TrainConfig(augmentation="off"), "augmentation must be of type AugmentationConfig, got 'off'"),
     (lambda: HANConfig(partition="shrec22"), "partition must be of type HandPartition, got 'shrec22'"),
+    (lambda: SkeletonSequence(frames=np.zeros((3, 22, 3)), label=2.5), "label must be an integer, got 2.5"),
+    (lambda: HandPartition(parts=SHREC22.parts, name=5), "name must be of type str, got 5"),
 ], ids=["lr-nan", "jitter-inf", "pe_j-text", "frames-float", "classes-fraction", "attention-text",
-        "augmentation-text", "partition-name"])
+        "augmentation-text", "partition-name", "label-fraction", "partition-name-int"])
 def test_config_built_directly_is_checked(build, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         build()
@@ -62,3 +73,9 @@ def test_numpy_scalars_are_stored_as_python_types():
     assert type(config.attention.d_model) is int and type(config.attention.dropout_rate) is float
     assert type(config.frames) is int and config.pe_j is False
     assert type(TrainConfig(lr_init=1).lr_init) is float and type(SynthConfig(test_fraction=0).test_fraction) is float
+
+
+def test_value_types_store_python_types_and_take_lists():
+    assert type(SkeletonSequence(frames=np.zeros((3, 22, 3)), label=np.int64(2)).label) is int
+    assert HandPartition(parts=[list(p) for p in SHREC22.parts], name="lists").parts == SHREC22.parts
+

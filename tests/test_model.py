@@ -96,6 +96,15 @@ class TestForwardBasics:
         with pytest.raises(DataError, match="float32"):
             predict(batch[1], model)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_coordinates_named_as_such(self, value):
+        # a raw array already at config.frames is not resampled, so no SkeletonSequence checks it
+        config = tiny_config()
+        batch = np.zeros((3, config.frames, config.joint_count, 3))
+        batch[1, 0, 0, 0] = value
+        with pytest.raises(DataError, match="^sequence 1 of the batch has non-finite coordinates$"):
+            forward(batch, HANModel(config, seed=1))
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_position_table_rows_are_cast_sinusoids(self, dtype):
         model = HANModel(tiny_config(), seed=1, dtype=dtype)
@@ -759,8 +768,9 @@ class TestCheckpointRecords:
 
 
 class TestIntegerEcho:
-    """A count or joint index in the config echo that is not an integer is an
-    invalid config, found before any tensor is read."""
+    """A count or joint index in the config echo that is not an integer, or a
+    partition name that is not a str, is an invalid config, found before any
+    tensor is read."""
 
     @pytest.fixture
     def blob(self, tmp_path):
@@ -773,6 +783,7 @@ class TestIntegerEcho:
         ({"frames": 2.0}, "frames must be an integer, got 2.0"),
         ({"n_heads": True}, "n_heads must be an integer, got True"),
         ({"partition_parts": [[0], [1], [2.0], [3], [4], [5]]}, "joint index 2.0 in partition is not an integer"),
+        ({"partition_name": 5}, "name must be of type str, got 5"),
     ])
     def test_rejected_naming_the_field(self, tmp_path, blob, changes, message):
         path = tmp_path / "typed.ckpt"

@@ -1,5 +1,5 @@
-"""Snapshot of the configuration surface: config keys and defaults, the config
-dataclasses' fields, estimator parameters, the checkpoint's config echo, and the
+"""Snapshot of the configuration surface: config keys and defaults, the fields of
+the config dataclasses and value types, estimator parameters, the checkpoint's config echo, and the
 arguments of the attention block, of the model's forward and of the sequence-file parser.
 
 A change here is a new option, a renamed key or field, a changed default or a new
@@ -16,7 +16,7 @@ import pytest
 from han import cli
 from han.attention import attend_batch
 from han.config import CONFIG_KEYS, DEFAULTS, AttentionConfig, AugmentationConfig, TrainConfig, build_configs
-from han.data import parse_sequence
+from han.data import HandPartition, SkeletonSequence, parse_sequence
 from han.estimator import HANClassifier
 from han.model import HANConfig, forward
 from han.synth import SynthConfig
@@ -63,6 +63,8 @@ EXPECTED_FIELDS = {
     TrainConfig: ["lr_init", "batch_size", "warmup_epochs", "plateau_patience", "decay_factor", "max_decays",
                   "max_epochs", "augmentation", "seed"],
     SynthConfig: ["classes", "per_class", "joints", "test_fraction", "min_frames", "max_frames", "seed"],
+    SkeletonSequence: ["frames", "label"],
+    HandPartition: ["parts", "name"],
 }
 
 EXPECTED_ATTEND_BATCH_PARAMS = ["x", "params", "config", "training", "rng", "weights_out", "pe", "embed"]

@@ -253,6 +253,14 @@ class TestTrainLoop:
         with pytest.raises(DataError, match="sequence 9 of the batch"):
             evaluate(model, seqs)
 
+    @pytest.mark.parametrize("label", [3, 20, -1])
+    def test_evaluate_rejects_a_label_outside_the_classes(self, label):
+        # -1 would index the last confusion row, and 20 beyond it
+        model = HANModel(tiny_config(class_count=3, frames=4), seed=5)
+        seqs = [SkeletonSequence(frames=np.zeros((4, 6, 3)), label=lab) for lab in (0, 2, label)]
+        with pytest.raises(DataError, match=rf"^sequence 2 has label {label}, outside the model's 3 classes$"):
+            evaluate(model, seqs)
+
     def test_non_finite_parameters_after_the_last_step_stop_training(self):
         seqs = toy_sequences(classes=3, joints=6, t=5)
         model = HANModel(tiny_config(class_count=3, frames=4), seed=5)
