@@ -241,7 +241,3 @@ def main(argv: list[str] | None = None) -> int:
     except HanError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

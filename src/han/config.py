@@ -110,11 +110,7 @@ class HANConfig:
 
     @staticmethod
     def from_dict(d: Mapping) -> "HANConfig":
-        partition = HandPartition(
-            parts=tuple(tuple(p) for p in d["partition_parts"]),
-            name=d.get("partition_name", "custom"),
-        )
-        return _unflatten(HANConfig, dict(d, partition=partition))
+        return _unflatten(HANConfig, dict(d, partition=HandPartition(d["partition_parts"], d["partition_name"])))
 
 
 @dataclass(frozen=True)

@@ -148,14 +148,13 @@ FPHA21 = HandPartition(
     name="fpha21",
 )
 
-_BUILTIN_PARTITIONS = {"shrec22": SHREC22, "fpha21": FPHA21}
+_BUILTIN_PARTITIONS = {p.name: p for p in (SHREC22, FPHA21)}
 
 
 def default_partition(joint_count: int) -> HandPartition:
-    if joint_count == 22:
-        return SHREC22
-    if joint_count == 21:
-        return FPHA21
+    for partition in _BUILTIN_PARTITIONS.values():
+        if partition.joint_count == joint_count:
+            return partition
     raise ConfigError(f"no built-in partition for {joint_count} joints; supply a partition file")
 
 

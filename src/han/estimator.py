@@ -8,11 +8,12 @@ itself.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 
 import numpy as np
 
-from .config import ALIASES, DEFAULTS, build_configs
+from .config import ALIASES, DEFAULTS, AugmentationConfig, build_configs
 from .data import SkeletonSequence
 from .errors import DataError, UsageError
 from .model import HANModel, probabilities
@@ -24,7 +25,7 @@ from .train import TrainResult, train_loop
 _PARAMS = {
     (key if key == "lr" else ALIASES.get(key, key)): value
     for key, value in DEFAULTS.items()
-    if key not in ("classes", "joints", "scale_min", "scale_max", "shift_range", "time_jitter", "noise_std")
+    if key not in ("classes", "joints", *(f.name for f in dataclasses.fields(AugmentationConfig)))
 }
 
 

@@ -135,12 +135,14 @@ def _batch_array(seqs, model: HANModel) -> np.ndarray:
         batch = seqs = np.asarray(seqs)
     if len(batch) == 0 or isinstance(batch, np.ndarray) and batch.ndim != 4:
         raise UsageError(f"forward takes a batch of one or more (T, J, 3) sequences, got {np.shape(batch)}")
-    for frames in batch:
+    for row, (seq, frames) in enumerate(zip(seqs, batch)):
         if frames.ndim != 3 or frames.shape[2] != 3 or frames.shape[0] == 0:
             raise UsageError(f"sequence frames must be (T, J, 3) with T >= 1, got {frames.shape}")
         if frames.shape[1] != cfg.joint_count:
             raise ConfigError(f"model expects {cfg.joint_count} joints, got {frames.shape[1]}")
-    if any(len(frames) != cfg.frames for frames in batch):  # a raw array is wrapped, so it gets the sequence checks
+        if len(frames) != cfg.frames and not isinstance(seq, SkeletonSequence) and not np.isfinite(frames).all():
+            raise DataError(f"sequence {row} of the batch has non-finite coordinates")  # resampling may drop it
+    if any(len(frames) != cfg.frames for frames in batch):
         batch = [frames if len(frames) == cfg.frames else uniform_sample(
                  seq if isinstance(seq, SkeletonSequence) else SkeletonSequence(frames, 0), cfg.frames).frames
                  for seq, frames in zip(seqs, batch)]
@@ -348,6 +350,8 @@ def load_checkpoint(path: str) -> HANModel:
         config = HANConfig.from_dict(config_dict)
     except (ValueError, KeyError, TypeError, AttributeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: invalid checkpoint config: {exc}") from exc
+    if unknown := sorted(config_dict.keys() - config.to_dict().keys()):  # `from_dict` reads by field name only
+        raise CheckpointError(f"{path}: unknown checkpoint config keys {unknown}")
     if dtype_name not in _DTYPES:
         raise CheckpointError(f"{path}: tensor dtype {dtype_name!r} is not one of {', '.join(_DTYPES)}")
     dtype = np.dtype(dtype_name)

@@ -48,7 +48,7 @@ class SynthConfig:
         default_partition(self.joints)  # a joint count with no built-in layout fails before anything is written
 
 
-def rest_pose(joints: int = 22) -> np.ndarray:
+def rest_pose(joints: int) -> np.ndarray:
     """Canonical (J, 3) hand: wrist at origin, fingers fanned upward."""
     partition = default_partition(joints)
     pose = np.zeros((joints, 3))

@@ -91,7 +91,6 @@ class ScheduleState:
     best: float = field(default=-math.inf, init=False)
     stale: int = field(default=0, init=False)
     decays: int = field(default=0, init=False)
-    stopped: bool = field(default=False, init=False)
     decay_epochs: list[int] = field(default_factory=list, init=False)
 
     def __post_init__(self):
@@ -120,9 +119,7 @@ class ScheduleState:
             self.decay_epochs.append(epoch)
             self.lr = self.lr / self.config.decay_factor
             self.stale = 0
-            if self.decays >= self.config.max_decays:
-                self.stopped = True
-        return self.stopped
+        return self.decays >= self.config.max_decays
 
 
 @dataclass
@@ -146,6 +143,13 @@ def metrics_from_pairs(true_labels, pred_labels, class_count: int) -> EvalReport
     return EvalReport(accuracy=accuracy, per_class_accuracy=per_class, confusion=confusion)
 
 
+def _check_labels(sequences: list[SkeletonSequence], classes: int, split: str = "") -> None:
+    """A DataError naming the first sequence, within `split` when given, whose label is not one of `classes`."""
+    for i, seq in enumerate(sequences):
+        if not 0 <= seq.label < classes:
+            raise DataError(f"{split}sequence {i} has label {seq.label}, outside the model's {classes} classes")
+
+
 def evaluate(model: HANModel, sequences: list[SkeletonSequence]) -> EvalReport:
     """Deterministic eval-mode accuracy and confusion matrix over a split.
 
@@ -154,9 +158,7 @@ def evaluate(model: HANModel, sequences: list[SkeletonSequence]) -> EvalReport:
     silent class-0 score. A label outside the model's classes is a DataError.
     """
     classes = model.config.class_count
-    for i, seq in enumerate(sequences):
-        if not 0 <= seq.label < classes:
-            raise DataError(f"sequence {i} has label {seq.label}, outside the model's {classes} classes")
+    _check_labels(sequences, classes)
     pred, bad = [], None
     if sequences:
         probs = probabilities(sequences, model)
@@ -194,6 +196,8 @@ def train_loop(
     """Run the full schedule on `train_seqs`; `val_seqs`, when given, is the plateau metric's split."""
     if not train_seqs:
         raise UsageError("training split is empty")
+    for split, seqs in (("training ", train_seqs), ("validation ", val_seqs)):  # before the first forward
+        _check_labels(seqs, model.config.class_count, split)
     named = model.parameters()
     params = [t for _, t in named]
     adam = AdamState.for_params(params)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -96,12 +97,14 @@ class TestForwardBasics:
         with pytest.raises(DataError, match="float32"):
             predict(batch[1], model)
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
-    def test_non_finite_coordinates_named_as_such(self, value):
-        # a raw array already at config.frames is not resampled, so no SkeletonSequence checks it
+    @pytest.mark.parametrize("value, extra_frames", [(np.nan, 0), (np.inf, 0), (np.nan, 5), (np.inf, 5)],
+                             ids=["nan", "inf", "nan-resampled", "inf-resampled"])
+    def test_non_finite_coordinates_named_as_such(self, value, extra_frames):
+        # a raw array at config.frames is checked after the cast; one at another frame count before
+        # resampling, which would drop its frame 1 (2 of 7 frames keep 0 and 6)
         config = tiny_config()
-        batch = np.zeros((3, config.frames, config.joint_count, 3))
-        batch[1, 0, 0, 0] = value
+        batch = np.zeros((3, config.frames + extra_frames, config.joint_count, 3))
+        batch[1, 1, 0, 0] = value
         with pytest.raises(DataError, match="^sequence 1 of the batch has non-finite coordinates$"):
             forward(batch, HANModel(config, seed=1))
 
@@ -616,12 +619,35 @@ class TestCheckpoint:
                 assert not np.array_equal(b.data, c.data)
 
 
+# sha256 of an untrained seed-0 checkpoint: the SplitMix64 draws, the parameter table's order,
+# the IEEE casts and the format with its config echo keep writing these exact bytes, on any
+# host, as no BLAS call is involved. Update a digest only on purpose, and say so where the
+# change is recorded.
+UNTRAINED_DIGEST = "b1c166c6183485479026a2b3b644f078eaab25e176857b78b2c473a9798231bb"
+UNTRAINED_DIGEST_FPHA21_UNSHARED_F64 = "afbe7d43e5f4e14bf977173112fe6c4b11246d39e5a8fdaeb23764305c63f76f"
+
+
+@pytest.mark.parametrize("config, dtype, digest", [
+    pytest.param(HANConfig(), np.float32, UNTRAINED_DIGEST, id="default-float32"),
+    pytest.param(HANConfig(partition=FPHA21, share_j_att=False, share_t_att=False), np.float64,
+                 UNTRAINED_DIGEST_FPHA21_UNSHARED_F64, id="fpha21-unshared-float64"),
+])
+def test_untrained_checkpoint_bytes_are_pinned(tmp_path, config, dtype, digest):
+    path = tmp_path / "init.ckpt"
+    save_checkpoint(HANModel(config, dtype=dtype, seed=0), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+DROP = object()  # a `_with_config_echo` value that removes its key
+
+
 def _with_config_echo(blob: bytes, **changes) -> bytes:
-    """The checkpoint bytes with keys of the JSON config echo replaced."""
+    """The checkpoint bytes with keys of the JSON config echo replaced, added or dropped."""
     magic = b"HAN-CKPT v1\n"
     (n,) = struct.unpack("<I", blob[len(magic):len(magic) + 4])
     start = len(magic) + 4
-    config = dict(json.loads(blob[start:start + n]), **changes)
+    config = {key: value for key, value in dict(json.loads(blob[start:start + n]), **changes).items()
+              if value is not DROP}
     payload = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return magic + struct.pack("<I", len(payload)) + payload + blob[start + n:]
 
@@ -674,6 +700,17 @@ class TestCheckpointRejects:
         save_checkpoint(model, path)
         with pytest.raises(CheckpointError, match=r"nonfinite\.ckpt.*'cls\.b'.*non-finite"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"bogus": 1}, r"unknown checkpoint config keys \['bogus'\]"),
+        ({"heads": 4}, r"unknown checkpoint config keys \['heads'\]"),  # an alias: the echo spells fields
+        ({"partition_name": DROP}, "invalid checkpoint config: 'partition_name'"),
+    ], ids=["bogus", "heads-alias", "no-partition-name"])
+    def test_echo_keys_are_exactly_the_saved_ones(self, tmp_path, blob, changes, message):
+        path = tmp_path / "keys.ckpt"
+        path.write_bytes(_with_config_echo(blob, **changes))
+        with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: {message}$"):
+            load_checkpoint(str(path))
 
     def test_numpy_integer_partition_round_trips(self, tmp_path):
         partition = HandPartition(parts=tuple((np.int64(j),) for j in range(6)), name="np6")

@@ -261,6 +261,22 @@ class TestTrainLoop:
         with pytest.raises(DataError, match=rf"^sequence 2 has label {label}, outside the model's 3 classes$"):
             evaluate(model, seqs)
 
+    @pytest.mark.parametrize("split", ["training", "validation"])
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_train_loop_rejects_a_label_outside_the_classes_before_the_first_forward(self, monkeypatch,
+                                                                                     split, label):
+        def no_forward(*args, **kwargs):
+            raise AssertionError("forward ran before the labels were checked")
+
+        monkeypatch.setattr("han.train.forward", no_forward)
+        model = HANModel(tiny_config(class_count=3, frames=4), seed=5)
+        splits = {name: [SkeletonSequence(frames=np.zeros((4, 6, 3)), label=lab) for lab in (0, 1, 2)]
+                  for name in ("training", "validation")}
+        splits[split][1] = SkeletonSequence(frames=np.zeros((4, 6, 3)), label=label)
+        config = TrainConfig(max_epochs=1, warmup_epochs=1, augmentation=None)
+        with pytest.raises(DataError, match=rf"^{split} sequence 1 has label {label}, outside the model's 3 classes$"):
+            train_loop(splits["training"], splits["validation"], model, config)
+
     def test_non_finite_parameters_after_the_last_step_stop_training(self):
         seqs = toy_sequences(classes=3, joints=6, t=5)
         model = HANModel(tiny_config(class_count=3, frames=4), seed=5)
