@@ -46,6 +46,7 @@ def _read_config_file(path: str) -> dict:
     except DataError as exc:
         raise ConfigError(str(exc)) from exc
     out: dict = {}
+    line_of: dict = {}
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text or text.startswith("#"):
@@ -57,6 +58,9 @@ def _read_config_file(path: str) -> dict:
         value = value.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key '{key}'")
+        if key in line_of:
+            raise ConfigError(f"{path}:{lineno}: config key '{key}' repeats line {line_of[key]}")
+        line_of[key] = lineno
         kind = CONFIG_KEYS[key]
         try:
             out[key] = _parse_bool(value) if kind is bool else kind(value)
@@ -122,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_train(args: argparse.Namespace) -> int:
     values = _config_values(args)
     dataset = load_manifest(args.manifest)
-    for key, declared in (("classes", dataset.class_count), ("joints", dataset.joint_count)):
+    for key, declared in (("class_count", dataset.class_count), ("joints", dataset.joint_count)):
         if values.setdefault(key, declared) != declared:
             raise ConfigError(f"config sets {key}={values[key]} but the manifest declares {declared}")
     if values.get("partition", "auto") == "auto":

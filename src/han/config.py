@@ -166,10 +166,6 @@ def _unflatten(cls, values: Mapping):
     return cls(**kwargs)
 
 
-# the flat spellings of four fields; every other field's flat key is its name
-ALIASES = {"heads": "n_heads", "dropout": "dropout_rate", "classes": "class_count", "lr": "lr_init"}
-_SPELLING = {name: key for key, name in ALIASES.items()}
-
 # flat keys in place of a field that is not one scalar, as (key, type, default):
 # the partition is "auto", a built-in name or a file path, and it fixes the joint
 # count; augmentation is a switch plus the magnitudes of its own fields
@@ -190,7 +186,7 @@ def _flat_keys(cls):
             kind = f.type
             if isinstance(kind, types.UnionType):  # `int | None` parses as int
                 kind = typing.get_args(kind)[0]
-            yield _SPELLING.get(f.name, f.name), kind, getattr(defaults, f.name)
+            yield f.name, kind, getattr(defaults, f.name)
 
 
 _TABLE = [*_flat_keys(HANConfig), *_flat_keys(TrainConfig)]
@@ -201,13 +197,14 @@ DEFAULTS: dict = {key: default for key, _, default in _TABLE}
 def build_configs(values: Mapping) -> tuple[HANConfig, TrainConfig]:
     """Model and training configs from flat keys; absent keys take DEFAULTS.
 
-    Keys are the flat keys of CONFIG_KEYS or the field names they alias.
-    `partition` may also be a HandPartition. A `joints` value, such as the
-    joint count of the data, must agree with the partition. The augmentation
-    magnitudes are checked with `augment` off too.
+    Any other key is a ConfigError naming it. `partition` may also be a HandPartition.
+    A `joints` value, such as the joint count of the data, must agree with the
+    partition. The augmentation magnitudes are checked with `augment` off too.
     """
-    flat = {ALIASES.get(key, key): value for key, value in DEFAULTS.items()}
-    flat.update((ALIASES.get(key, key), value) for key, value in values.items())
+    for key in values:
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config key '{key}'")
+    flat = {**DEFAULTS, **values}
     # no field check sees these keys
     flat.update((key, _scalar(key, CONFIG_KEYS[key], flat[key])) for key in ("joints", "augment"))
     partition = flat["partition"]

@@ -207,7 +207,10 @@ class SkeletonSequence:
     label: int
 
     def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.float64)
+        frames = np.asarray(self.frames)
+        if frames.dtype.kind not in "iuf":  # text, objects or complex values
+            raise DataError(f"sequence frames must be real numbers, got dtype {frames.dtype}")
+        self.frames = frames.astype(np.float64, copy=False)
         check_fields(self)  # a numpy integer label is stored as int
         if self.frames.ndim != 3 or self.frames.shape[2] != 3 or self.frames.shape[0] < 1:
             raise DataError(f"sequence frames must be (T, J, 3) with T >= 1, got {self.frames.shape}")

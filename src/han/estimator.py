@@ -13,20 +13,15 @@ import inspect
 
 import numpy as np
 
-from .config import ALIASES, DEFAULTS, AugmentationConfig, build_configs
+from .config import DEFAULTS, AugmentationConfig, build_configs
 from .data import SkeletonSequence
 from .errors import DataError, UsageError
 from .model import HANModel, probabilities
 from .train import TrainResult, train_loop
 
-# parameter -> default: the flat config keys the data does not fix, less the
-# augmentation magnitudes; attention keys are spelled as their fields, the
-# learning rate as `lr`
-_PARAMS = {
-    (key if key == "lr" else ALIASES.get(key, key)): value
-    for key, value in DEFAULTS.items()
-    if key not in ("classes", "joints", *(f.name for f in dataclasses.fields(AugmentationConfig)))
-}
+# parameter -> default: the flat config keys the data does not fix, less the augmentation magnitudes
+_PARAMS = {key: value for key, value in DEFAULTS.items()
+           if key not in ("class_count", "joints", *(f.name for f in dataclasses.fields(AugmentationConfig)))}
 
 
 def as_sequence_list(X, joint_count: int | None = None) -> list[SkeletonSequence]:
@@ -82,7 +77,7 @@ class HANClassifier:
         file path, or a HandPartition instance.
     pe_j, pe_f, pe_t, pe_fusion : position-embedding toggles per module.
     share_j_att, share_t_att : weight sharing across parts / streams.
-    lr, batch_size, warmup_epochs, plateau_patience, decay_factor,
+    lr_init, batch_size, warmup_epochs, plateau_patience, decay_factor,
     max_decays, max_epochs : schedule; training stops at the
         max_decays-th plateau decay (or at max_epochs when set).
     augment : apply the training-time augmentations.
@@ -128,7 +123,7 @@ class HANClassifier:
         for seq, label in zip(seqs, labels):
             seq.label = index_of[int(label)]
         config, train_config = build_configs(
-            dict(self.get_params(), classes=len(self.classes_), joints=seqs[0].joint_count)
+            dict(self.get_params(), class_count=len(self.classes_), joints=seqs[0].joint_count)
         )
         model = HANModel(config, seed=train_config.seed)
         result: TrainResult = train_loop(seqs, [], model, train_config)

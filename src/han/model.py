@@ -136,6 +136,8 @@ def _batch_array(seqs, model: HANModel) -> np.ndarray:
     if len(batch) == 0 or isinstance(batch, np.ndarray) and batch.ndim != 4:
         raise UsageError(f"forward takes a batch of one or more (T, J, 3) sequences, got {np.shape(batch)}")
     for row, (seq, frames) in enumerate(zip(seqs, batch)):
+        if frames.dtype.kind not in "iuf":  # text, objects or complex values
+            raise DataError(f"sequence {row} of the batch must hold real numbers, got dtype {frames.dtype}")
         if frames.ndim != 3 or frames.shape[2] != 3 or frames.shape[0] == 0:
             raise UsageError(f"sequence frames must be (T, J, 3) with T >= 1, got {frames.shape}")
         if frames.shape[1] != cfg.joint_count:
@@ -245,13 +247,16 @@ def extract_attention(seq, model: HANModel, site: str, *, frame: int | None = No
 
     Selectors: site "J" needs frame and part; "F" needs frame (a resampled
     frame); "T" needs stream (0-5 the parts in partition order, 6 the whole
-    hand); "Fusion" needs none. An overflow gives maps that are not finite.
+    hand); "Fusion" needs none. A selector the site does not take is a
+    UsageError. An overflow gives maps that are not finite.
     """
     cfg = model.config
     if site not in SITES:
         raise UsageError(f"site must be one of {tuple(SITES)}, got '{site}'")
+    unused = {"frame": frame, "part": part, "stream": stream}
 
-    def need(value, name, bound):
+    def need(name, bound):
+        value = unused.pop(name)
         if value is None:
             raise UsageError(f"site '{site}' needs the {name} selector")
         if not is_integer(value):
@@ -262,13 +267,16 @@ def extract_attention(seq, model: HANModel, site: str, *, frame: int | None = No
 
     # every selector is checked before the forward runs
     if site == "J":
-        key, group = ("J", need(part, "part", PART_COUNT)), need(frame, "frame", cfg.frames)
+        key, group = ("J", need("part", PART_COUNT)), need("frame", cfg.frames)
     elif site == "F":
-        key, group = ("F",), need(frame, "frame", cfg.frames)
+        key, group = ("F",), need("frame", cfg.frames)
     elif site == "T":
-        key, group = ("T",), need(stream, "stream", STREAM_COUNT)
+        key, group = ("T",), need("stream", STREAM_COUNT)
     else:
         key, group = ("Fusion",), 0
+    for name, value in unused.items():
+        if value is not None:
+            raise UsageError(f"site '{site}' takes no {name} selector")
     capture: dict = {}
     with np.errstate(over="ignore", invalid="ignore"):  # the caller checks the maps
         forward([seq], model, training=False, capture=capture)

@@ -264,8 +264,8 @@ def train_loop(
 
 
 def write_training_log(path: str, result: TrainResult) -> None:
-    """Append-only text log: one epoch per line, then a final summary line."""
-    with open(path, "a", encoding="utf-8") as fh:
+    """Text log of one run, written fresh: one epoch per line, then a final summary line."""
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("epoch,lr,train_loss,val_acc,decays\n")
         for log in result.epochs:
             fh.write(f"{log.epoch},{log.lr:.8g},{log.train_loss:.8g},{log.val_acc:.8g},{log.decays}\n")

@@ -21,6 +21,17 @@ def tiny_config(dropout=0.0, frames=2, class_count=4, partition=TOY_PARTITION, *
     )
 
 
+# the kinds of frames that are not real numbers, which every input boundary rejects
+NOT_REAL = ["text", "object", "complex"]
+
+
+def not_real_frames(shape) -> dict:
+    """Frames of each NOT_REAL kind: text, objects with a None entry, complex values."""
+    objects = np.zeros(shape, dtype=object)
+    objects[0, 0, 0] = None
+    return {"text": np.full(shape, "a"), "object": objects, "complex": np.zeros(shape, dtype=complex)}
+
+
 @pytest.fixture
 def tiny_model():
     return HANModel(tiny_config(), seed=7, dtype=np.float64)

@@ -16,8 +16,8 @@ from han.errors import HanError
 from han.model import extract_attention, load_checkpoint, save_checkpoint
 
 FAST_TRAIN = [
-    "--d-model", "8", "--heads", "2", "--d-head", "4", "--dropout", "0.0",
-    "--frames", "4", "--lr", "0.01", "--batch-size", "16",
+    "--d-model", "8", "--n-heads", "2", "--d-head", "4", "--dropout-rate", "0.0",
+    "--frames", "4", "--lr-init", "0.01", "--batch-size", "16",
     "--warmup-epochs", "1", "--plateau-patience", "1", "--max-decays", "1",
     "--max-epochs", "4", "--no-augment", "--seed", "3",
 ]
@@ -118,7 +118,7 @@ class TestTrainCommand:
 
     def test_conflicting_classes_flag_exits_2(self, tmp_path, dataset_dir):
         code = main(["train", "--manifest", str(dataset_dir / "manifest.tsv"),
-                     "--out", str(tmp_path / "o"), "--classes", "7"] + FAST_TRAIN)
+                     "--out", str(tmp_path / "o"), "--class-count", "7"] + FAST_TRAIN)
         assert code == 2
 
     @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--max-epochs", "-3"), ("--max-epochs", "0"),
@@ -133,13 +133,13 @@ class TestTrainCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--time-jitter", "inf"), ("--noise-std", "nan"), ("--scale-min", "nan"),
-                                             ("--shift-range", "inf"), ("--lr", "nan")])
+                                             ("--shift-range", "inf"), ("--lr-init", "nan")])
     def test_non_finite_value_exits_2_writing_nothing(self, tmp_path, dataset_dir, capsys, flag, value):
         out = tmp_path / "o"
         code = main(["train", "--manifest", str(dataset_dir / "manifest.tsv"),
                      "--out", str(out)] + FAST_TRAIN + ["--augment", flag, value])
         assert code == 2
-        field = "lr_init" if flag == "--lr" else flag[2:].replace("-", "_")
+        field = flag[2:].replace("-", "_")
         assert capsys.readouterr().err == f"error: {field} must be a finite number, got {value}\n"
         assert not out.exists()
 
@@ -202,10 +202,17 @@ class TestTrainCommand:
         assert (a / "model.ckpt").read_bytes() == (b / "model.ckpt").read_bytes()
         assert (a / "train.log").read_bytes() == (b / "train.log").read_bytes()
 
+    def test_second_run_into_one_out_rewrites_its_files(self, tmp_path, dataset_dir, trained_dir):
+        out = tmp_path / "again"
+        shutil.copytree(trained_dir, out)
+        assert main(["train", "--manifest", str(dataset_dir / "manifest.tsv"), "--out", str(out)] + FAST_TRAIN) == 0
+        assert (out / "train.log").read_bytes() == (trained_dir / "train.log").read_bytes()
+        assert (out / "model.ckpt").read_bytes() == (trained_dir / "model.ckpt").read_bytes()
+
     def test_non_finite_loss_exits_2_without_checkpoint(self, tmp_path, dataset_dir, capsys):
         out = tmp_path / "o"
         code = main(["train", "--manifest", str(dataset_dir / "manifest.tsv"),
-                     "--out", str(out)] + FAST_TRAIN + ["--lr", "1e10"])
+                     "--out", str(out)] + FAST_TRAIN + ["--lr-init", "1e10"])
         assert code == 2
         assert "lr_init" in capsys.readouterr().err
         assert not (out / "model.ckpt").exists()
@@ -222,7 +229,7 @@ class TestTrainCommand:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(["train", "--manifest", str(dataset_dir / "manifest.tsv"),
-                         "--out", str(tmp_path / "o")] + FAST_TRAIN + ["--lr", "1e10"])
+                         "--out", str(tmp_path / "o")] + FAST_TRAIN + ["--lr-init", "1e10"])
         assert code == 2
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert capsys.readouterr().err.startswith("error: loss is")
@@ -231,7 +238,7 @@ class TestTrainCommand:
     def test_diverging_adam_step_prints_no_numpy_warning(self, tmp_path, dataset_dir, capsys):
         # the loss of the one batch is finite; its Adam step overflows, and the epoch-end check reports it
         code = main(["train", "--manifest", str(dataset_dir / "manifest.tsv"), "--out", str(tmp_path / "o")]
-                    + FAST_TRAIN + ["--max-epochs", "1", "--lr", "1e300"])
+                    + FAST_TRAIN + ["--max-epochs", "1", "--lr-init", "1e300"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: parameter joint.w is not finite after epoch 0 with lr 1e+300")
 
@@ -239,7 +246,7 @@ class TestTrainCommand:
         data, out = tmp_path / "d", tmp_path / "o"
         assert main(synth_args(data, classes=4)) == 0
         code = main(["train", "--manifest", str(data / "manifest.tsv"), "--out", str(out)]
-                    + FAST_TRAIN + ["--max-epochs", "1", "--lr", "1e10"])
+                    + FAST_TRAIN + ["--max-epochs", "1", "--lr-init", "1e10"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: the forward of training sequence ")
         assert not (out / "model.ckpt").exists()
@@ -247,7 +254,7 @@ class TestTrainCommand:
     def test_config_file_matches_flags(self, tmp_path, dataset_dir):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
-            "d_model=8\nheads=2\nd_head=4\ndropout=0.0\nframes=4\nlr=0.01\n"
+            "d_model=8\nn_heads=2\nd_head=4\ndropout_rate=0.0\nframes=4\nlr_init=0.01\n"
             "batch_size=16\nwarmup_epochs=1\nplateau_patience=1\nmax_decays=1\n"
             "max_epochs=4\naugment=off\nseed=3\n"
         )
@@ -448,7 +455,7 @@ class TestProfileCommand:
         cfg.write_text(f"# switches\n\naugment={text}\n")
         assert _read_config_file(str(cfg)) == {"augment": value}
 
-    @pytest.mark.parametrize("line", ["augment=maybe", "heads=two"])
+    @pytest.mark.parametrize("line", ["augment=maybe", "n_heads=two"])
     def test_bad_config_file_value_exits_2_naming_file_and_line(self, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"d_model=8\n{line}\n")
@@ -456,14 +463,20 @@ class TestProfileCommand:
         key, _, value = line.partition("=")
         assert capsys.readouterr().err == f"error: {cfg}:2: bad value for '{key}': {value}\n"
 
+    def test_repeated_config_key_exits_2_naming_both_lines(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("frames=4\nd_model=8\nframes=5\n")
+        assert main(["profile", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:3: config key 'frames' repeats line 1\n"
+
     def test_invalid_utf8_config_file_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_bytes(b"d_model=8\nheads=\xff2\n")
+        cfg.write_bytes(b"d_model=8\nn_heads=\xff2\n")
         assert main(["profile", "--config", str(cfg)]) == 2
         assert f"{cfg}:2: config file is not UTF-8" in capsys.readouterr().err
 
     def test_head_geometry_tradeoff_keeps_params(self, capsys):
-        assert main(["profile", "--heads", "4", "--d-head", "64"]) == 0
+        assert main(["profile", "--n-heads", "4", "--d-head", "64"]) == 0
         out = capsys.readouterr().out
         assert "params=527118" in out
 
@@ -547,6 +560,16 @@ class TestExportAttnCommand:
                      "--sequence", str(seq), "--site", "Fusion", "--out", str(tmp_path / "attn")])
         assert code == 3
         assert f"{seq}:3: non-finite" in capsys.readouterr().err
+
+    def test_selector_the_site_does_not_take_exits_2_writing_nothing(self, trained_dir, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "attn"
+        code = main(["export-attn", "--checkpoint", str(trained_dir / "model.ckpt"),
+                     "--sequence", load_manifest(str(dataset_dir / "manifest.tsv")).entries[0].path,
+                     "--site", "Fusion", "--frame", "99", "--part", "-5", "--stream", "123", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: site 'Fusion' takes no frame selector\n"
+        assert captured.out == "" and not out.exists()
 
     def test_missing_selector_exits_2(self, trained_dir, dataset_dir, tmp_path):
         ds = load_manifest(str(dataset_dir / "manifest.tsv"))

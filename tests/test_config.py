@@ -1,7 +1,8 @@
 """Every config dataclass and value type checks its own fields when built, whatever builds it.
 
-The config cases are derived from `dataclasses.fields`, so a field added later
-is covered without an edit here.
+The config cases are derived from `dataclasses.fields` and `CONFIG_KEYS`, so a field
+added later is covered without an edit here. A flat config key is spelled as the field
+it sets, so a flag, a `--config` line, an estimator parameter and the error all share it.
 """
 
 import dataclasses
@@ -13,9 +14,11 @@ import typing
 import numpy as np
 import pytest
 
-from han.config import AttentionConfig, AugmentationConfig, HANConfig, TrainConfig
+from han.cli import main
+from han.config import CONFIG_KEYS, AttentionConfig, AugmentationConfig, HANConfig, TrainConfig, build_configs
 from han.data import SHREC22, HandPartition, SkeletonSequence
 from han.errors import ConfigError
+from han.estimator import HANClassifier
 from han.synth import SynthConfig
 
 CONFIG_CLASSES = [AttentionConfig, AugmentationConfig, HANConfig, TrainConfig, SynthConfig]
@@ -79,3 +82,43 @@ def test_value_types_store_python_types_and_take_lists():
     assert type(SkeletonSequence(frames=np.zeros((3, 22, 3)), label=np.int64(2)).label) is int
     assert HandPartition(parts=[list(p) for p in SHREC22.parts], name="lists").parts == SHREC22.parts
 
+
+# flat keys that stand in for a field that is not one scalar
+STAND_INS = {"partition", "joints", "augment"}
+
+# a wrong value of each flat key type, as typed; no flag carries a bool value
+WRONG_VALUE = {int: "-1", float: "nan", bool: "maybe", str: "nope"}
+
+
+def test_each_flat_key_is_a_field_name_and_each_estimator_parameter_a_flat_key():
+    fields = {f.name for cls in (AttentionConfig, HANConfig, TrainConfig, AugmentationConfig)
+              for f in dataclasses.fields(cls)}
+    assert set(CONFIG_KEYS) - STAND_INS <= fields
+    assert set(HANClassifier().get_params()) <= set(CONFIG_KEYS)
+
+
+@pytest.mark.parametrize("key", list(CONFIG_KEYS))
+def test_a_wrong_value_fails_naming_its_key_as_a_flag_a_config_line_and_a_parameter(tmp_path, capsys, key):
+    kind = CONFIG_KEYS[key]
+    text = WRONG_VALUE[kind]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={text}\n")
+    runs = [["profile", "--config", str(cfg)]]
+    if kind is not bool:
+        runs.append(["profile", "--" + key.replace("_", "-"), text])
+    for argv in runs:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert re.search(rf"\b{key}\b", err) and "unknown" not in err, (argv, err)
+    if key in HANClassifier().get_params():
+        X = [np.zeros((3, 22, 3)), np.ones((3, 22, 3))]
+        with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+            HANClassifier(**{key: text if kind is bool else kind(text)}).fit(X, [0, 1])
+
+
+@pytest.mark.parametrize("values, key", [({"heads": 2}, "heads"), ({"bogus": 1}, "bogus"),
+                                         ({"bogus": 1, "n_heads": 4, "heads": 2}, "bogus"),
+                                         ({"n_heads": 4, "lr": 0.1}, "lr")])
+def test_build_configs_rejects_a_key_outside_the_schema(values, key):
+    with pytest.raises(ConfigError, match=f"^unknown config key '{key}'$"):
+        build_configs(values)

@@ -25,6 +25,8 @@ from han.data import (
 from han.errors import ConfigError, DataError, ParseError
 from han.rng import Rng
 
+from conftest import NOT_REAL, not_real_frames
+
 RS = np.random.RandomState(5)
 
 
@@ -230,6 +232,13 @@ class TestSequenceIO:
         write_sequence(parsed, str(second))
         again = parse_sequence(str(second), 21)
         assert np.array_equal(again.frames, parsed.frames)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", NOT_REAL)
+    def test_frames_that_are_not_real_numbers_rejected(self, kind):
+        frames = not_real_frames((5, 22, 3))[kind]
+        with pytest.raises(DataError, match=f"^sequence frames must be real numbers, got dtype {frames.dtype}$"):
+            SkeletonSequence(frames=frames, label=0)
 
 
 class TestUniformSample:

@@ -9,7 +9,7 @@ from han.errors import ConfigError, DataError, UsageError
 from han.estimator import HANClassifier, as_label_array, as_sequence_list
 from han.model import load_checkpoint, save_checkpoint
 
-from conftest import TOY_PARTITION
+from conftest import NOT_REAL, TOY_PARTITION, not_real_frames
 
 RS = np.random.RandomState(44)
 
@@ -32,7 +32,7 @@ def toy_xy(n_per_class=5, classes=3, t=6, joints=6):
 def fast_estimator(**kw):
     defaults = dict(
         d_model=8, n_heads=2, d_head=4, dropout_rate=0.0, frames=4,
-        partition=TOY_PARTITION, lr=0.01, batch_size=8, warmup_epochs=2,
+        partition=TOY_PARTITION, lr_init=0.01, batch_size=8, warmup_epochs=2,
         plateau_patience=4, max_decays=2, augment=False, seed=3,
     )
     defaults.update(kw)
@@ -48,9 +48,9 @@ class TestParamsProtocol:
 
     def test_set_params_returns_self_and_applies(self):
         est = fast_estimator()
-        out = est.set_params(n_heads=4, lr=0.005)
+        out = est.set_params(n_heads=4, lr_init=0.005)
         assert out is est
-        assert est.n_heads == 4 and est.lr == 0.005
+        assert est.n_heads == 4 and est.lr_init == 0.005
 
     def test_set_params_rejects_unknown(self):
         with pytest.raises(UsageError, match="unknown parameter"):
@@ -59,7 +59,7 @@ class TestParamsProtocol:
     def test_defaults_mirror_reported_settings(self):
         est = HANClassifier()
         assert est.d_model == 128 and est.n_heads == 8 and est.d_head == 32
-        assert est.dropout_rate == 0.1 and est.batch_size == 32 and est.lr == 0.001
+        assert est.dropout_rate == 0.1 and est.batch_size == 32 and est.lr_init == 0.001
 
 
 class TestFitPredict:
@@ -124,6 +124,13 @@ class TestInputValidation:
         frames[0, 0, 0] = np.nan
         with pytest.raises(UsageError, match="non-finite"):
             fast_estimator().fit([frames, np.zeros((4, 6, 3))], np.array([0, 1]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", NOT_REAL)
+    def test_coordinates_that_are_not_real_numbers_rejected(self, kind):
+        X = [np.zeros((4, 6, 3)), not_real_frames((4, 6, 3))[kind]]
+        with pytest.raises(UsageError, match=r"^X\[1\]: sequence frames must be real numbers, got dtype "):
+            fast_estimator().fit(X, np.array([0, 1]))
 
     def test_mismatched_joint_counts_rejected(self):
         with pytest.raises(UsageError, match="joint count"):
@@ -209,8 +216,8 @@ class TestScalarParameters:
     with a ConfigError naming it."""
 
     @pytest.mark.parametrize("name, value, message", [
-        ("lr", "0.1", "lr_init must be a finite number, got '0.1'"),
-        ("lr", np.nan, "lr_init must be a finite number, got nan"),
+        ("lr_init", "0.1", "lr_init must be a finite number, got '0.1'"),
+        ("lr_init", np.nan, "lr_init must be a finite number, got nan"),
         ("decay_factor", "10", "decay_factor must be a finite number, got '10'"),
         ("dropout_rate", True, "dropout_rate must be a finite number, got True"),
         ("partition", 5, "partition must be a name, a file path or a HandPartition, got 5"),
@@ -226,7 +233,7 @@ class TestScalarParameters:
 
     def test_numpy_scalars_and_integers_are_stored_as_python_types(self):
         X, y = toy_xy(n_per_class=2)
-        est = fast_estimator(dropout_rate=0, lr=np.float32(0.01), pe_j=np.False_, max_epochs=1).fit(X, y)
+        est = fast_estimator(dropout_rate=0, lr_init=np.float32(0.01), pe_j=np.False_, max_epochs=1).fit(X, y)
         config = est.model_.config
         assert type(config.attention.dropout_rate) is float and config.pe_j is False
 

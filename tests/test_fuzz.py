@@ -24,10 +24,10 @@ from han.model import load_checkpoint
 
 from test_model import _with_config_echo
 
-TINY = ["--d-model", "8", "--heads", "2", "--d-head", "4", "--frames", "4"]
+TINY = ["--d-model", "8", "--n-heads", "2", "--d-head", "4", "--frames", "4"]
 TRAIN = TINY + ["--max-epochs", "1", "--batch-size", "4", "--no-augment", "--seed", "1"]
 SHREC22_LINES = b"2,3,4,5\n6,7,8,9\n10,11,12,13\n14,15,16,17\n18,19,20,21\n0,1\n"
-CONFIG = b"# tiny run\nd_model=8\nheads=2\nd_head=4\nframes=4\nlr=0.01\naugment=off\npartition=shrec22\n"
+CONFIG = b"# tiny run\nd_model=8\nn_heads=2\nd_head=4\nframes=4\nlr_init=0.01\naugment=off\npartition=shrec22\n"
 
 # each example runs a loader and up to two CLI commands on a tiny model
 FUZZ = settings(max_examples=25, deadline=None,
@@ -173,7 +173,7 @@ def test_frames_flag_beyond_bound(corpus, tmp_path, capsys):
 
 @pytest.mark.parametrize("flags, message", [
     (["--d-model", "4097"], "d_model must be in [1, 4096], got 4097"),
-    (["--heads", "1000", "--d-head", "1000000"], "n_heads*d_head must be in [1, 4096], got 1000000000"),
+    (["--n-heads", "1000", "--d-head", "1000000"], "n_heads*d_head must be in [1, 4096], got 1000000000"),
 ])
 def test_attention_width_flag_beyond_bound(corpus, tmp_path, capsys, flags, message):
     code = main(["train", "--manifest", str(corpus / "data" / "manifest.tsv"),
@@ -185,7 +185,7 @@ def test_attention_width_flag_beyond_bound(corpus, tmp_path, capsys, flags, mess
 
 def test_attention_width_beyond_bound_in_a_config_file(tmp_path, capsys):
     cfg = tmp_path / "wide.cfg"
-    cfg.write_text("heads=64\nd_head=65\n")
+    cfg.write_text("n_heads=64\nd_head=65\n")
     assert main(["profile", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == "error: n_heads*d_head must be in [1, 4096], got 4160\n"
 

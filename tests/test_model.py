@@ -25,7 +25,7 @@ from han.model import (
 from han.rng import Rng
 from han.train import cross_entropy
 
-from conftest import MIXED_PARTITION, TOY_PARTITION, tiny_config
+from conftest import MIXED_PARTITION, NOT_REAL, TOY_PARTITION, not_real_frames, tiny_config
 from oracles import central_difference, max_relative_error, scalar_tiny_model_reference
 from reference_ops import forward_reference
 
@@ -107,6 +107,16 @@ class TestForwardBasics:
         batch[1, 1, 0, 0] = value
         with pytest.raises(DataError, match="^sequence 1 of the batch has non-finite coordinates$"):
             forward(batch, HANModel(config, seed=1))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("extra_frames", [0, 5], ids=["sampled", "resampled"])
+    @pytest.mark.parametrize("kind", NOT_REAL)
+    def test_coordinates_that_are_not_real_numbers_rejected(self, kind, extra_frames):
+        # a raw row is checked before resampling or the cast to the model dtype
+        config = tiny_config()
+        bad = not_real_frames((config.frames + extra_frames, config.joint_count, 3))[kind]
+        with pytest.raises(DataError, match=f"^sequence 1 of the batch must hold real numbers, got dtype {bad.dtype}$"):
+            forward([rand_frames(config), bad], HANModel(config, seed=1))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_position_table_rows_are_cast_sinusoids(self, dtype):
@@ -530,6 +540,10 @@ class TestExtractAttention:
         ("F", {"frame": 3}, r"frame selector 3 out of range \[0, 3\)"),
         ("T", {}, "site 'T' needs the stream selector"),
         ("T", {"stream": 7}, r"stream selector 7 out of range \[0, 7\)"),
+        ("Fusion", {"frame": 99, "part": -5, "stream": 123}, "site 'Fusion' takes no frame selector"),
+        ("T", {"stream": 2, "frame": 500}, "site 'T' takes no frame selector"),
+        ("F", {"frame": 0, "stream": 1}, "site 'F' takes no stream selector"),
+        ("J", {"frame": 0, "part": 0, "stream": 6}, "site 'J' takes no stream selector"),
     ])
     def test_bad_selector_raises_before_the_forward(self, monkeypatch, site, selectors, message):
         config, model = self.make()
@@ -703,7 +717,7 @@ class TestCheckpointRejects:
 
     @pytest.mark.parametrize("changes, message", [
         ({"bogus": 1}, r"unknown checkpoint config keys \['bogus'\]"),
-        ({"heads": 4}, r"unknown checkpoint config keys \['heads'\]"),  # an alias: the echo spells fields
+        ({"heads": 4}, r"unknown checkpoint config keys \['heads'\]"),  # a former flag spelling: the echo spells fields
         ({"partition_name": DROP}, "invalid checkpoint config: 'partition_name'"),
     ], ids=["bogus", "heads-alias", "no-partition-name"])
     def test_echo_keys_are_exactly_the_saved_ones(self, tmp_path, blob, changes, message):

@@ -22,18 +22,18 @@ from han.model import HANConfig, forward
 from han.synth import SynthConfig
 
 EXPECTED_DEFAULTS = {
-    "d_model": 128, "heads": 8, "d_head": 32, "dropout": 0.1, "frames": 8, "classes": 14,
+    "d_model": 128, "n_heads": 8, "d_head": 32, "dropout_rate": 0.1, "frames": 8, "class_count": 14,
     "joints": 22, "partition": "auto", "pe_j": True, "pe_f": True, "pe_t": True,
-    "pe_fusion": True, "share_j_att": True, "share_t_att": True, "lr": 0.001, "batch_size": 32,
+    "pe_fusion": True, "share_j_att": True, "share_t_att": True, "lr_init": 0.001, "batch_size": 32,
     "warmup_epochs": 5, "plateau_patience": 10, "decay_factor": 10.0, "max_decays": 4,
     "max_epochs": None, "augment": True, "scale_min": 0.9, "scale_max": 1.1,
     "shift_range": 0.05, "time_jitter": 0.5, "noise_std": 0.001, "seed": 0,
 }
 
 EXPECTED_TYPES = {
-    "d_model": int, "heads": int, "d_head": int, "dropout": float, "frames": int, "classes": int,
+    "d_model": int, "n_heads": int, "d_head": int, "dropout_rate": float, "frames": int, "class_count": int,
     "joints": int, "partition": str, "pe_j": bool, "pe_f": bool, "pe_t": bool,
-    "pe_fusion": bool, "share_j_att": bool, "share_t_att": bool, "lr": float, "batch_size": int,
+    "pe_fusion": bool, "share_j_att": bool, "share_t_att": bool, "lr_init": float, "batch_size": int,
     "warmup_epochs": int, "plateau_patience": int, "decay_factor": float, "max_decays": int,
     "max_epochs": int, "augment": bool, "scale_min": float, "scale_max": float,
     "shift_range": float, "time_jitter": float, "noise_std": float, "seed": int,
@@ -42,7 +42,7 @@ EXPECTED_TYPES = {
 EXPECTED_PARAMS = {
     "d_model": 128, "n_heads": 8, "d_head": 32, "dropout_rate": 0.1, "frames": 8,
     "partition": "auto", "pe_j": True, "pe_f": True, "pe_t": True, "pe_fusion": True,
-    "share_j_att": True, "share_t_att": True, "lr": 0.001, "batch_size": 32,
+    "share_j_att": True, "share_t_att": True, "lr_init": 0.001, "batch_size": 32,
     "warmup_epochs": 5, "plateau_patience": 10, "decay_factor": 10.0, "max_decays": 4,
     "max_epochs": None, "augment": True, "seed": 0,
 }
