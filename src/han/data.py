@@ -18,6 +18,7 @@ the order thumb, index, middle, ring, pinky, palm group.
 import dataclasses
 import io
 import math
+import numbers
 import os
 import sys
 import types
@@ -28,7 +29,6 @@ from itertools import chain
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
-from .rng import Rng
 
 # the most classes and sampled frames a manifest, config or checkpoint may
 # declare; the model allocates its head and position table for them
@@ -91,7 +91,10 @@ class HandPartition:
     name: str = "custom"
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(map(tuple, self.parts)))  # lists of lists too
+        try:
+            object.__setattr__(self, "parts", tuple(map(tuple, self.parts)))  # lists of lists too
+        except TypeError as exc:
+            raise ConfigError(f"partition parts must be lists of joint indices, got {self.parts!r}") from exc
         check_fields(self)
         if len(self.parts) != PART_COUNT:
             raise ConfigError(f"partition needs exactly {PART_COUNT} parts, got {len(self.parts)}")
@@ -100,6 +103,8 @@ class HandPartition:
             if not part:
                 raise ConfigError("every partition part needs at least one joint")
             for j in part:
+                if not isinstance(j, numbers.Real):  # text or None: not even comparable
+                    raise ConfigError(f"joint index {j!r} in partition is not an integer")
                 if j < 0:
                     raise ConfigError(f"negative joint index {j} in partition")
                 if j in seen:
@@ -199,18 +204,22 @@ def resolve_partition(name_or_path: str, base_dir: str = ".") -> HandPartition:
     raise ConfigError(f"partition '{name_or_path}' is neither a built-in name nor an existing file")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SkeletonSequence:
-    """T frames of J joints with 3-d coordinates, plus a class label."""
+    """T frames of J joints with 3-d coordinates, plus a class label; frozen, so relabel with `dataclasses.replace`.
+    The one frames rule: a (T, J, 3) nesting of finite integer or real numbers, T >= 1, stored as float64."""
 
     frames: np.ndarray              # (T, J, 3) float64
     label: int
 
     def __post_init__(self):
-        frames = np.asarray(self.frames)
+        try:
+            frames = np.asarray(self.frames)
+        except ValueError as exc:  # numpy's "inhomogeneous shape"
+            raise DataError("sequence frames must be (T, J, 3) with T >= 1, got a ragged nesting") from exc
         if frames.dtype.kind not in "iuf":  # text, objects or complex values
             raise DataError(f"sequence frames must be real numbers, got dtype {frames.dtype}")
-        self.frames = frames.astype(np.float64, copy=False)
+        object.__setattr__(self, "frames", frames.astype(np.float64, copy=False))
         check_fields(self)  # a numpy integer label is stored as int
         if self.frames.ndim != 3 or self.frames.shape[2] != 3 or self.frames.shape[0] < 1:
             raise DataError(f"sequence frames must be (T, J, 3) with T >= 1, got {self.frames.shape}")
@@ -328,10 +337,10 @@ def _interpolate_frames(frames: np.ndarray, positions: np.ndarray) -> np.ndarray
     return frames[lo] * (1.0 - w) + frames[hi] * w
 
 
-def augment(seq: SkeletonSequence, config, rng: Rng) -> SkeletonSequence:
+def augment(seq: SkeletonSequence, config, rng) -> SkeletonSequence:
     """Scale, shift, temporally re-interpolate, and perturb one sequence by an `AugmentationConfig`.
 
-    Each transform draws once per sequence from `rng`; frame count, joint
+    Each transform draws once per sequence from the `Rng` stream `rng`; frame count, joint
     count and label are preserved.
     """
     frames = seq.frames

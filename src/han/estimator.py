@@ -28,7 +28,6 @@ def as_sequence_list(X, joint_count: int | None = None) -> list[SkeletonSequence
     """Validate X once, as new label-0 sequences of (T_i, J, 3) frames with a common J.
 
     Accepts a list of arrays/SkeletonSequences or a single (n, T, J, 3) array.
-    The sequences are the caller's own: setting a label changes nothing in X.
     """
     if isinstance(X, np.ndarray) and X.ndim == 4:
         items = [X[i] for i in range(X.shape[0])]
@@ -119,9 +118,7 @@ class HANClassifier:
         self.classes_ = np.unique(labels)
         if self.classes_.size < 2:
             raise UsageError("fit needs at least 2 distinct classes")
-        index_of = {label: i for i, label in enumerate(self.classes_.tolist())}
-        for seq, label in zip(seqs, labels):
-            seq.label = index_of[int(label)]
+        seqs = [dataclasses.replace(seq, label=i) for seq, i in zip(seqs, np.searchsorted(self.classes_, labels))]
         config, train_config = build_configs(
             dict(self.get_params(), class_count=len(self.classes_), joints=seqs[0].joint_count)
         )

@@ -40,7 +40,7 @@ from . import autodiff as ad
 from .attention import AttentionParams, attend_batch, param_table, positional_embedding
 from .autodiff import Tensor
 from .config import HANConfig
-from .data import PART_COUNT, SkeletonSequence, check_seed, is_integer, uniform_sample
+from .data import PART_COUNT, SkeletonSequence, is_integer, uniform_sample
 from .errors import CheckpointError, ConfigError, DataError, UsageError
 from .rng import Rng
 
@@ -56,7 +56,7 @@ class HANModel:
     """Parameter set for one configuration; see `parameters` for the registry."""
 
     def __init__(self, config: HANConfig, dtype=ad.DEFAULT_DTYPE, seed: int = 0):
-        rng = Rng(check_seed(seed), "init")
+        rng = Rng(seed, "init")
         self._build(config, dtype, lambda name, shape, bound: rng.uniform(shape, -bound, bound) if bound
                     else np.zeros(shape))
 
@@ -126,33 +126,25 @@ def _parameter_table(config: HANConfig) -> list[tuple[str, tuple[int, ...], floa
 
 
 def _batch_array(seqs, model: HANModel) -> np.ndarray:
-    """(B, config.frames, J, 3) frames of a list of sequences or one (B, T, J, 3) array: the model's input
-    contract, which resamples a sequence of any other length T >= 1 with `uniform_sample`."""
+    """(B, config.frames, J, 3) model-dtype frames of a list of sequences or one (B, T, J, 3) array. A raw row must
+    pass as a `SkeletonSequence` (else `sequence <i> of the batch: <its DataError>`); other lengths are resampled."""
     cfg = model.config
-    if isinstance(seqs, (list, tuple)):
-        batch = [s.frames if isinstance(s, SkeletonSequence) else np.asarray(s) for s in seqs]
-    else:
-        batch = seqs = np.asarray(seqs)
-    if len(batch) == 0 or isinstance(batch, np.ndarray) and batch.ndim != 4:
-        raise UsageError(f"forward takes a batch of one or more (T, J, 3) sequences, got {np.shape(batch)}")
-    for row, (seq, frames) in enumerate(zip(seqs, batch)):
-        if frames.dtype.kind not in "iuf":  # text, objects or complex values
-            raise DataError(f"sequence {row} of the batch must hold real numbers, got dtype {frames.dtype}")
-        if frames.ndim != 3 or frames.shape[2] != 3 or frames.shape[0] == 0:
-            raise UsageError(f"sequence frames must be (T, J, 3) with T >= 1, got {frames.shape}")
-        if frames.shape[1] != cfg.joint_count:
-            raise ConfigError(f"model expects {cfg.joint_count} joints, got {frames.shape[1]}")
-        if len(frames) != cfg.frames and not isinstance(seq, SkeletonSequence) and not np.isfinite(frames).all():
-            raise DataError(f"sequence {row} of the batch has non-finite coordinates")  # resampling may drop it
-    if any(len(frames) != cfg.frames for frames in batch):
-        batch = [frames if len(frames) == cfg.frames else uniform_sample(
-                 seq if isinstance(seq, SkeletonSequence) else SkeletonSequence(frames, 0), cfg.frames).frames
-                 for seq, frames in zip(seqs, batch)]
+    if not isinstance(seqs, (list, tuple)) and np.ndim(seqs) != 4 or len(seqs) == 0:
+        raise UsageError(f"forward takes a batch of one or more (T, J, 3) sequences, got {np.shape(seqs)}")
+    batch = []
+    for row, seq in enumerate(seqs):
+        try:
+            seq = seq if isinstance(seq, SkeletonSequence) else SkeletonSequence(seq, 0)
+            if seq.joint_count != cfg.joint_count:
+                raise ConfigError(f"model expects {cfg.joint_count} joints, got {seq.joint_count}")
+            batch.append(seq.frames if seq.frame_count == cfg.frames else uniform_sample(seq, cfg.frames).frames)
+        except DataError as exc:
+            raise DataError(f"sequence {row} of the batch: {exc}") from exc
     with np.errstate(over="ignore"):  # an overflowing cast is reported below, per row
         frames = np.asarray(batch, dtype=model.dtype)
         for row, ok in enumerate(np.isfinite(frames).all(axis=(1, 2, 3))):
-            if not ok:
-                finite = np.isfinite(np.asarray(batch[row], dtype=np.float64)).all()
+            if not ok:  # a sequence's frames can be changed in place after its check
+                finite = np.isfinite(batch[row]).all()
                 what = f"coordinates beyond {frames.dtype} range" if finite else "non-finite coordinates"
                 raise DataError(f"sequence {row} of the batch has {what}")
     return frames

@@ -17,6 +17,8 @@ import math
 
 import numpy as np
 
+from .data import check_seed
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -56,9 +58,7 @@ class Rng:
     __slots__ = ("seed", "name", "_state0", "_counter")
 
     def __init__(self, seed: int, name: str = ""):
-        if seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {seed}")
-        self.seed = int(seed)
+        self.seed = check_seed(seed)
         self.name = name
         self._state0 = _mix64_int(_mix64_int(self.seed) ^ _fnv1a(name))
         self._counter = 0

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import warnings
 
@@ -74,6 +75,16 @@ class TestPartitions:
     def test_whole_number_index_that_is_not_an_integer_rejected(self, index):
         with pytest.raises(ConfigError, match=re.escape(f"joint index {index!r} in partition is not an integer")):
             HandPartition(parts=((0,), (index,), (2,), (3,), (4,), (5,)))
+
+    @pytest.mark.parametrize("index", ["a", None, [1]])
+    def test_index_that_is_not_a_number_rejected(self, index):
+        with pytest.raises(ConfigError, match=re.escape(f"joint index {index!r} in partition is not an integer")):
+            HandPartition(parts=((0,), (index,), (2,), (3,), (4,), (5,)))
+
+    @pytest.mark.parametrize("parts", [5, None, [0, 1, 2, 3, 4, 5]], ids=["int", "none", "flat-list"])
+    def test_parts_that_are_not_lists_of_indices_rejected(self, parts):
+        with pytest.raises(ConfigError, match=re.escape(f"partition parts must be lists of joint indices, got {parts!r}")):
+            HandPartition(parts=parts)
 
     def test_numpy_integer_index_stored_as_int(self):
         partition = HandPartition(parts=((0,), (np.int64(1),), (2,), (3,), (4,), (np.uint8(5),)))
@@ -239,6 +250,14 @@ class TestSequenceIO:
         frames = not_real_frames((5, 22, 3))[kind]
         with pytest.raises(DataError, match=f"^sequence frames must be real numbers, got dtype {frames.dtype}$"):
             SkeletonSequence(frames=frames, label=0)
+
+    def test_sequence_is_frozen_and_relabelled_by_replace(self):
+        seq = make_seq(label=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            seq.label = 2
+        relabelled = dataclasses.replace(seq, label=np.int64(2))
+        assert relabelled.label == 2 and type(relabelled.label) is int and seq.label == 1
+        assert relabelled.frames is seq.frames  # float64 frames are not copied
 
 
 class TestUniformSample:

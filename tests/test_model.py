@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import pathlib
 import re
 import struct
 import warnings
@@ -77,7 +78,7 @@ class TestForwardBasics:
 
     @pytest.mark.parametrize("shape", [(2, 6, 2), (0, 6, 3), (6, 3)], ids=["two-coords", "no-frames", "2-d"])
     def test_frames_of_the_wrong_shape_rejected(self, shape):
-        with pytest.raises(UsageError, match=r"sequence frames must be \(T, J, 3\) with T >= 1"):
+        with pytest.raises(DataError, match=r"sequence frames must be \(T, J, 3\) with T >= 1"):
             forward([np.zeros(shape)], HANModel(tiny_config(), seed=1))
 
     def test_joint_count_checked(self):
@@ -100,12 +101,12 @@ class TestForwardBasics:
     @pytest.mark.parametrize("value, extra_frames", [(np.nan, 0), (np.inf, 0), (np.nan, 5), (np.inf, 5)],
                              ids=["nan", "inf", "nan-resampled", "inf-resampled"])
     def test_non_finite_coordinates_named_as_such(self, value, extra_frames):
-        # a raw array at config.frames is checked after the cast; one at another frame count before
-        # resampling, which would drop its frame 1 (2 of 7 frames keep 0 and 6)
+        # a raw row is checked before resampling, which would drop its frame 1 (2 of 7 frames keep 0 and 6),
+        # and before the cast to the model dtype
         config = tiny_config()
         batch = np.zeros((3, config.frames + extra_frames, config.joint_count, 3))
         batch[1, 1, 0, 0] = value
-        with pytest.raises(DataError, match="^sequence 1 of the batch has non-finite coordinates$"):
+        with pytest.raises(DataError, match="^sequence 1 of the batch: sequence contains non-finite coordinates$"):
             forward(batch, HANModel(config, seed=1))
 
     @pytest.mark.filterwarnings("error")
@@ -115,7 +116,7 @@ class TestForwardBasics:
         # a raw row is checked before resampling or the cast to the model dtype
         config = tiny_config()
         bad = not_real_frames((config.frames + extra_frames, config.joint_count, 3))[kind]
-        with pytest.raises(DataError, match=f"^sequence 1 of the batch must hold real numbers, got dtype {bad.dtype}$"):
+        with pytest.raises(DataError, match=f"^sequence 1 of the batch: sequence frames must be real numbers, got dtype {bad.dtype}$"):
             forward([rand_frames(config), bad], HANModel(config, seed=1))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -585,7 +586,7 @@ class TestCheckpoint:
         # saving the loaded model reproduces the bytes exactly
         path2 = str(tmp_path / "m2.ckpt")
         save_checkpoint(loaded, path2)
-        assert open(path, "rb").read() == open(path2, "rb").read()
+        assert pathlib.Path(path).read_bytes() == pathlib.Path(path2).read_bytes()
 
     def test_corrupt_header_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -598,16 +599,16 @@ class TestCheckpoint:
         model = HANModel(config, seed=8)
         path = str(tmp_path / "m.ckpt")
         save_checkpoint(model, path)
-        blob = open(path, "rb").read()
+        blob = pathlib.Path(path).read_bytes()
         path_t = str(tmp_path / "t.ckpt")
-        open(path_t, "wb").write(blob[: len(blob) // 2])
+        pathlib.Path(path_t).write_bytes(blob[: len(blob) // 2])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path_t)
 
     def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
         path = str(tmp_path / "m.ckpt")
         save_checkpoint(HANModel(tiny_config(), seed=8), path)
-        before = open(path, "rb").read()
+        before = pathlib.Path(path).read_bytes()
 
         def refuse(src, dst):
             raise OSError("disk full")
@@ -615,7 +616,7 @@ class TestCheckpoint:
         monkeypatch.setattr(os, "replace", refuse)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(HANModel(tiny_config(), seed=9), path)
-        assert open(path, "rb").read() == before
+        assert pathlib.Path(path).read_bytes() == before
         assert os.listdir(tmp_path) == ["m.ckpt"]
 
     def test_load_overwrites_every_placeholder_tensor(self, tmp_path):
@@ -671,7 +672,7 @@ class TestCheckpointRejects:
     def blob(self, tmp_path):
         path = str(tmp_path / "good.ckpt")
         save_checkpoint(HANModel(tiny_config(), seed=8), path)
-        return open(path, "rb").read()
+        return pathlib.Path(path).read_bytes()
 
     @pytest.mark.parametrize("dtype", ["bogus", "float16", "int64", 7])
     def test_dtype_outside_float32_float64(self, tmp_path, blob, dtype):
@@ -772,7 +773,7 @@ class TestCheckpointRecords:
     def parts(self, tmp_path):
         path = str(tmp_path / "good.ckpt")
         save_checkpoint(HANModel(tiny_config(), seed=8), path)
-        return self.split(open(path, "rb").read())
+        return self.split(pathlib.Path(path).read_bytes())
 
     def load(self, tmp_path, blob):
         path = tmp_path / "bad.ckpt"
@@ -827,7 +828,7 @@ class TestIntegerEcho:
     def blob(self, tmp_path):
         path = str(tmp_path / "good.ckpt")
         save_checkpoint(HANModel(tiny_config(), seed=8), path)
-        return open(path, "rb").read()
+        return pathlib.Path(path).read_bytes()
 
     @pytest.mark.parametrize("changes, message", [
         ({"frames": 2.5}, "frames must be an integer, got 2.5"),

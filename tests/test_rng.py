@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from han.errors import ConfigError
 from han.rng import Rng
 
 
@@ -82,5 +85,15 @@ def test_randint_bounds():
 
 
 def test_negative_seed_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         Rng(-1)
+
+
+@pytest.mark.parametrize("seed, message", [
+    (1.5, "seed must be an integer, got 1.5"),
+    (True, "seed must be an integer, got True"),
+    ("a", "seed must be an integer, got 'a'"),
+], ids=["fraction", "bool", "text"])
+def test_seed_that_is_not_an_integer_rejected(seed, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        Rng(seed)
