@@ -27,7 +27,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import AttentionConfig
 from .errors import ShapeError, UsageError
-from .rng import Rng
+from .rng import Rng, keep_masks
 
 @dataclass
 class AttentionParams:
@@ -156,17 +156,26 @@ def attend_batch(
     v = split_heads(wv, (0, 2, 1, 3))
 
     f = dtype(1.0 / math.sqrt(dh))
-    scores = (q @ k_t) * f                                     # (B, H, N, N)
+    scores = q @ k_t                                           # (B, H, N, N)
+    scores *= f
     top = scores[..., :1]  # row max by slices: a reduction over the short key axis loops once per row
     for j in range(1, n):
         top = np.maximum(top, scores[..., j:j + 1])
-    e = np.exp(scores - top)
-    lam = e / e.sum(axis=-1, keepdims=True)
+    scores -= top
+    lam = np.exp(scores, out=scores)
+    lam /= lam.sum(axis=-1, keepdims=True)
     if weights_out is not None:
         weights_out.append(lam.copy())
 
-    ctx = np.transpose(lam @ v, (0, 2, 1, 3)).reshape(-1, hw)  # (B*N, H*dh)
-    pre = (ctx @ wa.T).reshape(b, n, d) + ba                   # back to d_model
+    def merge_heads(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """left @ right over (B, H), written straight into the (B*N, H*dh) rows the next GEMM reads."""
+        rows = np.empty((b, n, h, dh), dtype)
+        np.matmul(left, right, out=rows.transpose(0, 2, 1, 3))
+        return rows.reshape(-1, hw)
+
+    ctx = merge_heads(lam, v)                                  # (B*N, H*dh)
+    pre = (ctx @ wa.T).reshape(b, n, d)                        # back to d_model
+    pre += ba
     y = np.maximum(pre, 0)  # ReLU, then layer norm (population variance), centred and scaled in place
     y -= y.sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt((y ** 2).sum(axis=-1, keepdims=True) / d + dtype(1e-5))
@@ -180,17 +189,25 @@ def attend_batch(
         if b % len(streams):
             raise ShapeError(f"dropout cannot split shape {x.shape} over {len(streams)} streams")
         rate = config.dropout_rate
-        keep = ~np.concatenate([s.bernoulli((b // len(streams), n, d), rate) for s in streams])
-        mask = keep.astype(dtype) / dtype(1.0 - rate)
+        keep = keep_masks(streams, (b // len(streams), n, d), rate).reshape(b, n, d)
+        mask = keep * (dtype(1.0) / dtype(1.0 - rate))
     branch = y if mask is None else y * mask
-    out = Tensor((tokens + branch).sum(axis=1) / n)
+    total = tokens + branch if mask is None else np.add(tokens, branch, out=branch)
+    out = Tensor(total.sum(axis=1) / n)
 
     def bwd(g):
         gu = np.repeat(np.expand_dims(g / n, 1), n, axis=1)   # token mean
         gy = gu if mask is None else gu * mask                 # dropout
-        ga = inv * (gy - gy.sum(axis=-1, keepdims=True) / d - y * ((gy * y).sum(axis=-1, keepdims=True) / d))
+        # layer norm, inv·(gy - mean(gy) - y·mean(gy·y)) one array at a time, then ReLU
+        t = gy * y
+        np.multiply(y, t.sum(axis=-1, keepdims=True) / d, out=t)
+        ga = gy - gy.sum(axis=-1, keepdims=True) / d
         del gy
-        ga = (ga * (pre > 0)).reshape(-1, d)                   # layer norm, then ReLU
+        ga -= t
+        del t
+        ga *= inv
+        ga *= pre > 0
+        ga = ga.reshape(-1, d)
         gwa, gba = ga.T @ ctx, ga.sum(axis=0)
         gc = np.transpose((ga @ wa).reshape(b, n, h, dh), (0, 2, 1, 3))   # (B, H, N, dh)
         del ga
@@ -200,10 +217,9 @@ def attend_batch(
             gwe, goff = gu.reshape(-1, d).T @ x2, gu.sum(axis=0)
         del gu
 
-        def through(gh, axes, w):
-            """One projection's gradient: into the block's input side, and returned for w."""
+        def through(g2, w):
+            """One projection's (B*N, H*dh) gradient: into the block's input side, and returned for w."""
             nonlocal gx, gwe, goff
-            g2 = np.transpose(gh, axes).reshape(-1, hw)        # heads back to (B*N, H*dh)
             gw = g2.T @ x2
             if embed is None:
                 gx += (g2 @ w).reshape(b, n, d)
@@ -214,13 +230,14 @@ def attend_batch(
             return gw @ w_e.T + s.T @ offset
 
         # one projection at a time, each gradient dropped once it is used
-        gwv = through(np.swapaxes(lam, -1, -2) @ gc, (0, 2, 1, 3), wv)
-        glam = gc @ np.swapaxes(v, -1, -2)
+        gwv = through(merge_heads(np.swapaxes(lam, -1, -2), gc), wv)
+        gs = gc @ np.swapaxes(v, -1, -2)                       # the weights' gradient, then softmax and scale
         del gc
-        gs = (glam - (glam * lam).sum(axis=-1, keepdims=True)) * lam * f   # softmax, then scale
-        del glam
-        gwq = through(gs @ np.swapaxes(k_t, -1, -2), (0, 2, 1, 3), wq)
-        gwk = through(np.swapaxes(q, -1, -2) @ gs, (0, 3, 1, 2), wk)
+        gs -= (gs * lam).sum(axis=-1, keepdims=True)
+        gs *= lam
+        gs *= f
+        gwq = through(merge_heads(gs, np.swapaxes(k_t, -1, -2)), wq)
+        gwk = through(np.transpose(np.swapaxes(q, -1, -2) @ gs, (0, 3, 1, 2)).reshape(-1, hw), wk)
         del gs
         if embed is None:
             return gx, gwk, gwq, gwv, gwa, gba

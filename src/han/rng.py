@@ -9,6 +9,11 @@ golden-ratio increment, and ``mix64`` is the SplitMix64 finalizer.
 
 Named sub-streams (``rng.stream("dropout/3/17")``) let callers key draws by
 epoch or sample index, making results independent of evaluation order.
+
+Dropout masks are drawn by `keep_masks` a block of streams at a time, each
+block one cache-sized counter array mixed at once. The masks are
+bit-identical to drawing each stream on its own, and each stream's counter
+ends where its own draw would leave it.
 """
 
 from __future__ import annotations
@@ -23,6 +28,9 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+# uint64 values mixed at once by `keep_masks`: a larger block falls out of cache
+_BLOCK_BYTES = 1 << 18
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -109,6 +117,27 @@ class Rng:
         keys = self.uniform((n,))
         return np.argsort(keys, kind="stable")
 
-    def bernoulli(self, shape, p: float) -> np.ndarray:
-        """Boolean mask, True with probability p."""
-        return self.uniform(shape) < p
+
+def keep_masks(streams: list[Rng], shape, p: float) -> np.ndarray:
+    """Dropout keep masks (len(streams), *shape): mask i is ~(streams[i].uniform(shape) < p).
+
+    A uniform value is exactly (raw >> 11) * 2**-53 of its raw 64-bit draw,
+    so u < p holds exactly when raw < ceil(p * 2**53) * 2**11, and the masks
+    are compared as integers; that limit is below 2**64 for every p < 1.
+    Each stream's counter advances by the mask size, as `uniform(shape)`
+    would advance it.
+    """
+    size = int(np.prod(shape))
+    keep = np.empty((len(streams), size), dtype=bool)
+    limit = np.uint64(math.ceil(p * 2.0**53) << 11)
+    step = np.arange(1, size + 1, dtype=np.uint64)
+    per_block = max(1, _BLOCK_BYTES // (8 * max(size, 1)))
+    for lo in range(0, len(streams), per_block):
+        block = streams[lo:lo + per_block]  # each row is `Rng._raw(size)` of one stream
+        z = np.array([s._counter for s in block], dtype=np.uint64)[:, None] + step
+        z *= np.uint64(_GOLDEN)
+        z += np.array([s._state0 for s in block], dtype=np.uint64)[:, None]
+        np.greater_equal(_mix64_array(z), limit, out=keep[lo:lo + per_block])
+        for s in block:
+            s._counter += size
+    return keep.reshape((len(streams), *shape))

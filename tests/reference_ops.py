@@ -178,7 +178,7 @@ def dropout(x: Tensor, rate: float, training: bool, rng: Rng | list[Rng] | None 
     if x.ndim == 0 or x.shape[0] % len(streams):
         raise ShapeError(f"dropout cannot split shape {x.shape} over {len(streams)} streams")
     share = (x.shape[0] // len(streams),) + x.shape[1:]
-    keep = ~np.concatenate([r.bernoulli(share, rate) for r in streams])
+    keep = ~np.concatenate([r.uniform(share) < rate for r in streams])  # the float form of the draw
     m = keep.astype(x.data.dtype) / x.data.dtype.type(1.0 - rate)
     out = Tensor(x.data * m)
 

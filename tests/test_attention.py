@@ -286,18 +286,25 @@ class TestFusedBlock:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("dropout", [0.0, 0.3])
-    def test_matches_reference_composition_bit_for_bit(self, dtype, dropout):
-        config = small_config(n_heads=3, d_head=2, dropout_rate=dropout)
-        params = make_params(config, seed=31, dtype=dtype)
+    @pytest.mark.parametrize("geometry, streams, groups, counts", [
         # N=1 takes no row-max slice step, and numpy sums 8 or more values pairwise
-        for n in (1, 2, 4, 5, 7, 8, 9):
+        (dict(d_model=6, n_heads=3, d_head=2), 3, 1, (1, 2, 4, 5, 7, 8, 9)),
+        # the model's head geometry at its token counts reaches the BLAS blocking of the
+        # head products, and 9 streams of (8, N, 128) masks cross a dropout draw block
+        (dict(d_model=128, n_heads=8, d_head=32), 9, 8, (2, 4, 6, 7, 8)),
+    ], ids=["small", "default"])
+    def test_matches_reference_composition_bit_for_bit(self, dtype, dropout, geometry, streams, groups, counts):
+        config = AttentionConfig(dropout_rate=dropout, **geometry)
+        params = make_params(config, seed=31, dtype=dtype)
+        batch = streams * groups
+        for n in counts:
             rs = np.random.RandomState(81)
-            x = ad.parameter(rs.uniform(-1, 1, (3, n, config.d_model)), dtype=dtype)
-            weights = rs.uniform(-1, 1, (1, 3 * config.d_model))
+            x = ad.parameter(rs.uniform(-1, 1, (batch, n, config.d_model)), dtype=dtype)
+            weights = rs.uniform(-1, 1, (1, batch * config.d_model))
 
             def run(block):
-                streams = [Rng(4, f"dropout/0/{i}") for i in range(3)]
-                return run_block(block, x, params, config, weights.astype(dtype), training=True, rng=streams)
+                rngs = [Rng(4, f"dropout/0/{i}") for i in range(streams)]
+                return run_block(block, x, params, config, weights.astype(dtype), training=True, rng=rngs)
 
             got, want = run(attend_batch), run(attend_batch_reference)
             assert len(got) == 7

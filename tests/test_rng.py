@@ -2,9 +2,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from han.errors import ConfigError
-from han.rng import Rng
+from han.rng import _BLOCK_BYTES, Rng, keep_masks
 
 
 def test_same_seed_same_stream():
@@ -97,3 +99,32 @@ def test_negative_seed_rejected():
 def test_seed_that_is_not_an_integer_rejected(seed, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         Rng(seed)
+
+
+EDGE_RATES = [0.0, 2.0 ** -53, 0.1, 0.5, float(np.nextafter(1.0, 0.0))]
+# one stream's mask alone outgrows a draw block
+LARGE_SHAPE = (_BLOCK_BYTES // 8 + 3,)
+
+
+@given(
+    rate=st.sampled_from(EDGE_RATES) | st.floats(0.0, 1.0, exclude_max=True),
+    shape=st.sampled_from([(0,), (2, 0, 3), (1,), (7,), (8, 4, 128), (3, 5, 2)]) | st.just(LARGE_SHAPE),
+    earlier=st.lists(st.integers(0, 40), min_size=1, max_size=40),
+    seed=st.integers(0, 2 ** 63),
+)
+@settings(max_examples=60, deadline=None)
+def test_keep_masks_match_per_stream_uniform_draws(rate, shape, earlier, seed):
+    # streams whose counters differ through earlier draws of different lengths
+    def streams():
+        out = [Rng(seed, f"dropout/0/{i}") for i in range(len(earlier))]
+        for s, count in zip(out, earlier):
+            s.uniform((count,))
+        return out
+
+    block, alone = streams(), streams()
+    got = keep_masks(block, shape, rate)
+    assert got.shape == (len(alone), *shape) and got.dtype == bool
+    for mask, s in zip(got, alone):
+        assert np.array_equal(mask, ~(s.uniform(shape) < rate))
+    for a, b in zip(block, alone):  # every counter carries on where its own draw left it
+        assert np.array_equal(a.uniform((5,)), b.uniform((5,)))
