@@ -83,8 +83,9 @@ def attend_batch(
     weights_out: list | None = None,
     pe: np.ndarray | None = None,
     embed: tuple[Tensor, Tensor] | None = None,
+    shape: tuple[int, ...] | None = None,
 ) -> Tensor:
-    """Run the block on a batch of token groups: (B, N, d_model) -> (B, d_model).
+    """Run the block on a batch of token groups: (B, N, d_model) -> (B, d_model), or to `shape`, a reshape of it.
 
     The block is one tape record; its backward is the closed form of the
     six steps and reuses the forward's arrays.
@@ -193,10 +194,10 @@ def attend_batch(
         mask = keep * (dtype(1.0) / dtype(1.0 - rate))
     branch = y if mask is None else y * mask
     total = tokens + branch if mask is None else np.add(tokens, branch, out=branch)
-    out = Tensor(total.sum(axis=1) / n)
+    out = Tensor((total.sum(axis=1) / n).reshape(shape or (b, d)))
 
     def bwd(g):
-        gu = np.repeat(np.expand_dims(g / n, 1), n, axis=1)   # token mean
+        gu = np.repeat(np.expand_dims(g.reshape(b, d) / n, 1), n, axis=1)   # token mean
         gy = gu if mask is None else gu * mask                 # dropout
         # layer norm, inv·(gy - mean(gy) - y·mean(gy·y)) one array at a time, then ReLU
         t = gy * y

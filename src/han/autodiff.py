@@ -234,3 +234,50 @@ def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
         return tuple(pieces[i] for i in range(len(tensors)))
 
     return record_op("stack", tuple(tensors), out, bwd)
+
+
+def concatenate(tensors: list[Tensor], axis: int = 0) -> Tensor:
+    """Join tensors of one rank along an existing axis; every other axis must match."""
+    if not tensors:
+        raise UsageError("concatenate needs at least one tensor")
+    _check_same_dtype("concatenate", *tensors)
+    try:
+        out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
+    except ValueError as exc:  # numpy names the axis or the mismatch
+        raise ShapeError(f"concatenate of {[t.shape for t in tensors]}: {exc}") from exc
+    bounds = np.cumsum([t.shape[axis] for t in tensors[:-1]])
+
+    def bwd(g):
+        return tuple(np.split(g, bounds, axis=axis))
+
+    return record_op("concatenate", tuple(tensors), out, bwd)
+
+
+def transpose(x: Tensor, axes: tuple[int, ...], shape: tuple[int, ...] | None = None) -> Tensor:
+    """The axes of x permuted as `np.transpose(x, axes)`, copied to row-major order, then viewed as `shape`."""
+    try:
+        moved = np.ascontiguousarray(np.transpose(x.data, axes))
+        out = Tensor(moved if shape is None else moved.reshape(shape))
+    except ValueError as exc:
+        raise ShapeError(f"transpose of {x.shape} by {axes} to {shape}: {exc}") from exc
+    inverse = np.argsort(axes)
+
+    def bwd(g):
+        return (np.transpose(g.reshape(moved.shape), inverse),)
+
+    return record_op("transpose", (x,), out, bwd)
+
+
+def select(x: Tensor, index: int, axis: int = 0) -> Tensor:
+    """The slice of x at `index` along `axis`, that axis dropped."""
+    try:
+        out = Tensor(np.take(x.data, index, axis=axis))
+    except IndexError as exc:
+        raise ShapeError(f"select of {index} on axis {axis} of {x.shape}: {exc}") from exc
+
+    def bwd(g):
+        gx = np.zeros_like(x.data)
+        np.moveaxis(gx, axis, 0)[index] = g
+        return (gx,)
+
+    return record_op("select", (x,), out, bwd)

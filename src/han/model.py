@@ -16,10 +16,13 @@ frames, to (B, C) logits:
 6. a fully connected layer maps the fused feature to class logits.
 
 `forward` lays out each site's token groups as batch-major rows (B·G, N, c)
-for one `attend_batch` call: J reads (B·T, n_p, 3) slices of the gathered
-coordinates, F stacks the 6 part rows, T folds the 7 streams as (B·7, T, d)
-for a shared block (one call per stream otherwise), and Fusion takes T's
-(B, 7, d) output as it is. Sinusoid position embeddings are added to the
+for one `attend_batch` call: J reads (B·k·T, n, 3) slices of the gathered
+coordinates, one call per run of k consecutive parts of one size and one
+block (`j_runs`), in (sequence, part, frame) row order, and writes them as
+(B, k, T, d); F reads the joined (B, 6, T, d) part features transposed to
+(B·T, 6, d); T folds them, joined with the hand, as (B·7, T, d) for a shared
+block (one call per stream otherwise); and Fusion takes T's (B, 7, d) output
+as it is. Sinusoid position embeddings are added to the
 tokens of steps 2-5 by the block (`attend_batch`'s `pe`) using 1-based
 indices (joint slot within its part, part number, frame number, stream
 number); each addition can be toggled off independently.
@@ -49,7 +52,8 @@ STREAM_COUNT = PART_COUNT + 1  # the parts + whole hand
 # position rows and the one that shares a block across its groups (None: it has one block)
 SITES = {"J": ("j_att", "pe_j", "share_j_att"), "F": ("f_att", "pe_f", None),
          "T": ("t_att", "pe_t", "share_t_att"), "Fusion": ("fusion_att", "pe_fusion", None)}
-EVAL_CHUNK = 8  # sequences per eval-mode forward in `probabilities`; bounds peak memory
+EVAL_CHUNK = 8  # sequences per eval-mode forward in `probabilities`; bounds peak memory, and times frames
+                # the groups of a J call that runs several parts (`j_runs`)
 
 
 class HANModel:
@@ -102,6 +106,20 @@ def site_calls(config: HANConfig) -> dict[str, list[tuple[int, int]]]:
             "T": [(1, t)] * STREAM_COUNT, "Fusion": [(1, STREAM_COUNT)]}
 
 
+def j_runs(config: HANConfig, batch: int) -> list[tuple[int, int]]:
+    """The J calls of a forward on `batch` sequences as (first part, part count): runs of consecutive parts of one
+    size and one block, each at most max(1, EVAL_CHUNK // batch) parts, so a call holds no more groups than
+    EVAL_CHUNK·frames or one part's batch·frames. Batches of EVAL_CHUNK or more take one call per part."""
+    parts, cap = config.partition.parts, max(1, EVAL_CHUNK // batch) if config.share_j_att else 1
+    runs = []
+    for p, part in enumerate(parts):
+        if runs and runs[-1][1] < cap and len(parts[runs[-1][0]]) == len(part):
+            runs[-1] = (runs[-1][0], runs[-1][1] + 1)
+        else:
+            runs.append((p, 1))
+    return runs
+
+
 def block_names(config: HANConfig) -> dict[str, list[str]]:
     """Each site's attention blocks by name: one shared block, or one per `site_calls` entry."""
     calls = site_calls(config)
@@ -127,8 +145,12 @@ def _parameter_table(config: HANConfig) -> list[tuple[str, tuple[int, ...], floa
 
 def _batch_array(seqs, model: HANModel) -> np.ndarray:
     """(B, config.frames, J, 3) model-dtype frames of a list of sequences or one (B, T, J, 3) array. A raw row must
-    pass as a `SkeletonSequence` (else `sequence <i> of the batch: <its DataError>`); other lengths are resampled."""
+    pass as a `SkeletonSequence` (else `sequence <i> of the batch: <its DataError>`); other lengths are resampled.
+    An array already of that shape and dtype, as `probabilities` hands its chunks on, needs only the finite check."""
     cfg = model.config
+    if (isinstance(seqs, np.ndarray) and seqs.dtype == model.dtype and len(seqs)
+            and seqs.shape[1:] == (cfg.frames, cfg.joint_count, 3) and np.isfinite(seqs).all()):
+        return seqs  # a row that fails the check is named by the path below
     if not isinstance(seqs, (list, tuple)) and np.ndim(seqs) != 4 or len(seqs) == 0:
         raise UsageError(f"forward takes a batch of one or more (T, J, 3) sequences, got {np.shape(seqs)}")
     batch = []
@@ -150,8 +172,8 @@ def _batch_array(seqs, model: HANModel) -> np.ndarray:
     return frames
 
 
-def _attend_site(model, key, x, block, training, rng, capture, embed=None) -> Tensor:
-    """One block call on batch-major token rows: (B·G, N, c) -> (B·G, d).
+def _attend_site(model, key, x, block, training, rng, capture, embed=None, shape=None) -> Tensor:
+    """One block call on batch-major token rows: (B·G, N, c) -> (B·G, d), or to `shape`, a reshape of it.
 
     Row b·G + g is group g of sequence b, so each sequence's dropout stream
     draws a contiguous share. The call adds position rows 1..N when the flag
@@ -159,7 +181,7 @@ def _attend_site(model, key, x, block, training, rng, capture, embed=None) -> Te
     `capture[key]`, and with `embed` embeds the raw coordinates of `x` itself."""
     pe = model.pe[1:x.shape[1] + 1] if getattr(model.config, SITES[key[0]][1]) else None
     sink = None if capture is None else capture.setdefault(key, [])
-    return attend_batch(x, block, model.config.attention, training, rng, sink, pe, embed)
+    return attend_batch(x, block, model.config.attention, training, rng, sink, pe, embed, shape)
 
 
 def forward(seqs, model: HANModel, training: bool = False, rng: Rng | list[Rng] | None = None,
@@ -177,22 +199,32 @@ def forward(seqs, model: HANModel, training: bool = False, rng: Rng | list[Rng] 
     if rng is not None and len(rng) != b:
         raise UsageError(f"forward got {len(rng)} dropout streams for {b} sequences")
     parts = cfg.partition.parts
-    coords = frames[:, :, np.concatenate(parts)].reshape(b * t, -1, 3)   # one gather into partition order
+    coords = frames[:, :, np.concatenate(parts)]                        # one gather into partition order
     maps = None if capture is None else {}
 
-    part_rows, start = [], 0                                    # 6 x (B·T, d)
-    for p_idx, part in enumerate(parts):
-        tokens = ad.constant(coords[:, start:start + len(part)])          # (B·T, n_p, 3)
-        start += len(part)
-        part_rows.append(_attend_site(model, ("J", p_idx), tokens, model.j_att[0 if cfg.share_j_att else p_idx],
-                                      training, rng, maps, (model.joint_w, model.joint_b)))
-    hand = _attend_site(model, ("F",), ad.stack(part_rows, axis=1), model.f_att, training, rng, maps)
-    streams = [ad.reshape(s, (b, t, d)) for s in part_rows + [hand]]   # 7 x (B, T, d)
+    runs, start = [], 0                                                 # each run's (B, k, T, d) part features
+    for first, k in j_runs(cfg, b):
+        n = len(parts[first])
+        # rows in (sequence, part, frame) order: each sequence's dropout stream draws its parts in partition
+        # order, as one call per part would
+        tokens = coords[:, :, start:start + k * n].reshape(b, t, k, n, 3).transpose(0, 2, 1, 3, 4)
+        start += k * n
+        runs.append(_attend_site(model, ("J", first), ad.constant(tokens.reshape(-1, n, 3)),   # (B·k·T, n, 3)
+                                 model.j_att[0 if cfg.share_j_att else first], training, rng, maps,
+                                 (model.joint_w, model.joint_b), (b, k, t, d)))
+        if maps is not None:  # the run's weights, handed back as one (B·T, H, n, n) entry per part
+            w, = maps.pop(("J", first))
+            w = w.reshape(b, k, t, *w.shape[1:])
+            maps.update((("J", first + i), [w[:, i].reshape(b * t, *w.shape[3:])]) for i in range(k))
+    part_feats = ad.concatenate(runs, axis=1)                           # (B, P, T, d)
+    hand = _attend_site(model, ("F",), ad.transpose(part_feats, (0, 2, 1, 3), (b * t, PART_COUNT, d)),
+                        model.f_att, training, rng, maps, shape=(b, 1, t, d) if cfg.share_t_att else (b, t, d))
     if cfg.share_t_att:
-        folded = ad.reshape(ad.stack(streams, axis=1), (b * STREAM_COUNT, t, d))
-        stream_feats = ad.reshape(_attend_site(model, ("T",), folded, model.t_att[0], training, rng, maps),
-                                  (b, STREAM_COUNT, d))
-    else:
+        folded = ad.reshape(ad.concatenate([part_feats, hand], axis=1), (b * STREAM_COUNT, t, d))
+        stream_feats = _attend_site(model, ("T",), folded, model.t_att[0], training, rng, maps,
+                                    shape=(b, STREAM_COUNT, d))
+    else:  # each part's (B, T, d) rows, then the hand's, through its own block
+        streams = [ad.select(part_feats, p, axis=1) for p in range(PART_COUNT)] + [hand]
         stream_feats = ad.stack([_attend_site(model, ("T",), s, blk, training, rng, maps)
                                  for s, blk in zip(streams, model.t_att)], axis=1)
     fused = _attend_site(model, ("Fusion",), stream_feats, model.fusion_att, training, rng, maps)

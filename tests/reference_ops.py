@@ -8,7 +8,9 @@ keep their own unit tests in `test_autodiff.py`.
 
 `forward_reference` is `han.model.forward` with the joint embedding as its
 own tape ops (`linear`, then one `take` per part), ahead of the joint-level
-block, rather than folded into it.
+block, rather than folded into it, and with one joint-level call per part,
+whose rows the levels above stack and reshape, rather than one call per run
+of equal parts.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from han import autodiff as ad
 from han.attention import AttentionConfig, AttentionParams
-from han.autodiff import Tensor, _check_same_dtype, record_op
+from han.autodiff import Tensor, _check_same_dtype, record_op, transpose
 from han.errors import ConfigError, ShapeError, UsageError
 from han.model import STREAM_COUNT, HANModel, _attend_site, _batch_array
 from han.rng import Rng
@@ -188,16 +190,6 @@ def dropout(x: Tensor, rate: float, training: bool, rng: Rng | list[Rng] | None 
     return record_op("dropout", (x,), out, bwd)
 
 
-def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    out = Tensor(np.transpose(x.data, axes))
-    inverse = tuple(np.argsort(axes))
-
-    def bwd(g):
-        return (np.transpose(g, inverse),)
-
-    return record_op("transpose", (x,), out, bwd)
-
-
 def attend_batch_reference(
     x: Tensor,
     params: AttentionParams,
@@ -248,8 +240,9 @@ def attend_batch_reference(
 def forward_reference(seqs, model: HANModel, training: bool = False, rng: Rng | list[Rng] | None = None,
                       capture: dict | None = None) -> Tensor:
     """`han.model.forward` with the unfolded joint site: every coordinate embedded by
-    one `ad.linear`, each part gathered by `take`, then `attend_batch` on d_model-wide
-    tokens plus their position rows. The levels above the joints are the same."""
+    one `ad.linear`, each part gathered by `take`, then one `attend_batch` call per part
+    on d_model-wide tokens plus their position rows. The levels above the joints run the
+    same blocks on rows stacked from the per-part calls."""
     cfg = model.config
     frames = _batch_array(seqs, model)
     b, t, j, _ = frames.shape

@@ -174,13 +174,33 @@ class TestElementwiseAndReductions:
         (lambda: ad.stack([Tensor(rand(2), dtype=np.float32), Tensor(rand(2), dtype=np.float64)]),
          UsageError, "stack: mixed dtypes"),
         (lambda: Tensor(rand(2)).item(), UsageError, r"item\(\) needs a single-element tensor, shape is \(2,\)"),
+        (lambda: ad.concatenate([]), UsageError, "concatenate needs at least one tensor"),
+        (lambda: ad.concatenate([Tensor(rand((2, 3))), Tensor(rand((2, 4)))]), ShapeError,
+         r"concatenate of \[\(2, 3\), \(2, 4\)\]: .*must match exactly"),
+        (lambda: ad.concatenate([Tensor(rand((2, 3))), Tensor(rand(3))], axis=1), ShapeError,
+         r"concatenate of \[\(2, 3\), \(3,\)\]: .*same number of dimensions"),
+        (lambda: ad.concatenate([Tensor(rand(2))], axis=1), ShapeError,
+         r"concatenate of \[\(2,\)\]: axis 1 is out of bounds"),
+        (lambda: ad.concatenate([Tensor(rand(2), dtype=np.float32), Tensor(rand(2), dtype=np.float64)]),
+         UsageError, "concatenate: mixed dtypes"),
+        (lambda: ad.transpose(Tensor(rand((2, 3))), (0, 0)), ShapeError,
+         r"transpose of \(2, 3\) by \(0, 0\) to None: repeated axis"),
+        (lambda: ad.transpose(Tensor(rand((2, 3))), (1, 0), (4,)), ShapeError,
+         r"transpose of \(2, 3\) by \(1, 0\) to \(4,\): cannot reshape"),
+        (lambda: ad.select(Tensor(rand((2, 3))), 3, axis=1), ShapeError,
+         r"select of 3 on axis 1 of \(2, 3\): index 3 is out of bounds"),
+        (lambda: ad.select(Tensor(rand((2, 3))), 0, axis=2), ShapeError,
+         r"select of 0 on axis 2 of \(2, 3\): axis 2 is out of bounds"),
     ], ids=["linear-1d-weight", "linear-width", "linear-bias", "linear-dtypes", "stack-none", "stack-shapes",
-            "stack-dtypes", "item-of-two"])
+            "stack-dtypes", "item-of-two", "concatenate-none", "concatenate-shapes", "concatenate-ranks",
+            "concatenate-axis", "concatenate-dtypes", "transpose-axes", "transpose-shape", "select-index",
+            "select-axis"])
     def test_bad_operands_rejected(self, make, error, message):
         with pytest.raises(error, match=message):
             make()
 
-    @pytest.mark.parametrize("op", ["add", "mean", "take", "stack", "transpose", "linear", "scale"])
+    @pytest.mark.parametrize("op", ["add", "mean", "take", "stack", "transpose", "linear", "scale", "concatenate",
+                                    "transpose-to-shape", "select"])
     def test_gradients(self, op):
         if op == "add":
             a = Tensor(rand((3, 4)), requires_grad=True, dtype=np.float64)
@@ -212,6 +232,21 @@ class TestElementwiseAndReductions:
         elif op == "scale":
             x = Tensor(rand((3,)), requires_grad=True, dtype=np.float64)
             check_grad(lambda: ref.tensor_sum(ref.scale(x, -2.5)), [x])
+        elif op == "concatenate":
+            a = Tensor(rand((2, 1, 3)), requires_grad=True, dtype=np.float64)
+            b = Tensor(rand((2, 4, 3)), requires_grad=True, dtype=np.float64)
+            c = ad.constant(rand((1, 6)), dtype=np.float64)
+            joined = lambda: ad.transpose(ad.concatenate([a, b, a], axis=1), (0, 2, 1))   # (2, 3, 6)
+            check_grad(lambda: ref.tensor_sum(ad.linear(ref.softmax(joined()), c)), [a, b])
+        elif op == "transpose-to-shape":
+            x = Tensor(rand((2, 3, 4)), requires_grad=True, dtype=np.float64)
+            c = ad.constant(rand((1, 3)), dtype=np.float64)
+            check_grad(lambda: ref.tensor_sum(ad.linear(ref.softmax(ad.transpose(x, (0, 2, 1), (8, 3))), c)), [x])
+        elif op == "select":
+            x = Tensor(rand((2, 3, 4)), requires_grad=True, dtype=np.float64)
+            c = ad.constant(rand((1, 4)), dtype=np.float64)
+            picked = lambda: ad.stack([ad.select(x, 1, axis=1), ad.select(x, -1, axis=1), ad.select(x, 1, axis=1)])
+            check_grad(lambda: ref.tensor_sum(ad.linear(ref.softmax(picked()), c)), [x])
 
 
     @pytest.mark.parametrize("indices, axis", [

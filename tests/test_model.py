@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import pathlib
@@ -8,12 +9,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from han.attention import AttentionConfig, positional_embedding
+import han.model as model_mod
+from han.attention import AttentionConfig, attend_batch, positional_embedding
 from han.autodiff import GradientTape, backward
 from han.data import FPHA21, SHREC22, HandPartition, SkeletonSequence, uniform_sample
 from han.errors import CheckpointError, ConfigError, DataError, ShapeError, UsageError
 from han.model import (
+    EVAL_CHUNK,
     HANConfig,
     HANModel,
     extract_attention,
@@ -307,12 +312,12 @@ class TestFoldedJointEmbedding:
     it must compute what the unfolded composition of `forward_reference` does."""
 
     @staticmethod
-    def run(fn, model, frames, training):
+    def run(fn, model, frames, training, labels=(1, 4)):
         rng = [Rng(3, f"dropout/0/{i}") for i in range(len(frames))] if training else None
         capture: dict = {}
         with GradientTape() as tape:
             logits = fn(frames, model, training=training, rng=rng, capture=capture)
-            loss = cross_entropy(logits, [1, 4])
+            loss = cross_entropy(logits, list(labels))
         backward(loss, tape)
         grads = {name: p.grad for name, p in model.parameters()}
         tape.reset()
@@ -355,6 +360,71 @@ class TestFoldedJointEmbedding:
         for name, p in (("joint.w", model.joint_w), ("joint.b", model.joint_b)):
             want = central_difference(lambda: loss().item(), p.data)
             assert max_relative_error(p.grad, want) < 1e-6, name
+
+
+@st.composite
+def run_partitions(draw) -> HandPartition:
+    """6 parts of 1-5 joints, each part's size often its predecessor's, so that runs of equal parts form and
+    split; the joints are shuffled across parts."""
+    sizes = [draw(st.integers(1, 5))]
+    for _ in range(5):
+        sizes.append(sizes[-1] if draw(st.booleans()) else draw(st.integers(1, 5)))
+    joints = draw(st.permutations(range(sum(sizes))))
+    ends = np.cumsum(sizes)
+    return HandPartition(parts=[joints[end - size:end] for size, end in zip(sizes, ends)])
+
+
+class TestJointRuns:
+    """`forward` runs equal-size parts that share a block as one J call, up to EVAL_CHUNK·frames groups;
+    `forward_reference` calls the block once per part. Both must compute the same thing."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(partition=run_partitions(), batch=st.sampled_from([1, 2, 3, 8, 9]), share_j=st.booleans(),
+           share_t=st.booleans(), training=st.booleans(), seed=st.integers(0, 2**16))
+    def test_matches_the_per_part_reference(self, partition, batch, share_j, share_t, training, seed):
+        config = tiny_config(dropout=0.2, frames=3, partition=partition, share_j_att=share_j, share_t_att=share_t)
+        model = HANModel(config, seed=seed, dtype=np.float64)
+        frames = np.random.RandomState(seed).uniform(-1, 1, (batch, 3, partition.joint_count, 3))
+        labels = [i % config.class_count for i in range(batch)]
+        run, assert_close = TestFoldedJointEmbedding.run, TestFoldedJointEmbedding.assert_close
+        logits, grads, maps = run(forward, model, frames, training, labels)
+        want_logits, want_grads, want_maps = run(forward_reference, model, frames, training, labels)
+        assert_close(logits, want_logits, "logits")
+        for name, want in want_grads.items():
+            assert_close(grads[name], want, name)
+        assert maps.keys() == want_maps.keys()
+        for key, want in want_maps.items():
+            assert maps[key].shape == want.shape, key
+            assert_close(maps[key], want, key)
+
+    @staticmethod
+    def calls(monkeypatch, config, batch):
+        """The groups of each J call and the number of block calls of one eval forward of `batch` sequences."""
+        seen = []
+
+        def counting(*args, **kwargs):
+            bound = inspect.signature(attend_batch).bind(*args, **kwargs)
+            seen.append(bound.arguments.get("embed") is not None and bound.arguments["x"].shape[0])
+            return attend_batch(*args, **kwargs)
+
+        monkeypatch.setattr(model_mod, "attend_batch", counting)
+        forward(np.zeros((batch, config.frames, config.joint_count, 3)), HANModel(config, seed=3))
+        return [g for g in seen if g], len(seen)
+
+    @pytest.mark.parametrize("batch, count", [(1, 5), (8, 9)])
+    def test_default_call_count(self, monkeypatch, batch, count):
+        assert self.calls(monkeypatch, HANConfig(), batch)[1] == count
+
+    @pytest.mark.parametrize("batch", [1, 2, 8, 9])
+    def test_unshared_joint_blocks_take_one_call_per_part(self, monkeypatch, batch):
+        assert self.calls(monkeypatch, HANConfig(share_j_att=False), batch)[1] == 9
+
+    @pytest.mark.parametrize("batch", [1, 2, 3, 7, 8, 9])
+    def test_no_joint_call_exceeds_the_cap(self, monkeypatch, batch):
+        t = HANConfig().frames
+        groups, _ = self.calls(monkeypatch, HANConfig(), batch)
+        assert sum(groups) == 6 * batch * t
+        assert max(groups) <= max(batch * t, EVAL_CHUNK * t), groups
 
 
 class TestBatchGrouping:

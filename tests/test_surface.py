@@ -67,7 +67,7 @@ EXPECTED_FIELDS = {
     HandPartition: ["parts", "name"],
 }
 
-EXPECTED_ATTEND_BATCH_PARAMS = ["x", "params", "config", "training", "rng", "weights_out", "pe", "embed"]
+EXPECTED_ATTEND_BATCH_PARAMS = ["x", "params", "config", "training", "rng", "weights_out", "pe", "embed", "shape"]
 
 # bench/tracing.py reads `training` as forward's third positional argument
 EXPECTED_FORWARD_PARAMS = ["seqs", "model", "training", "rng", "capture"]
