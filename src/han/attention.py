@@ -13,7 +13,10 @@ vectors to a single d_model feature:
 
 The block is the one place that adds position rows (`pe`). The joint site
 passes raw coordinates with `embed`, and the block applies the joint
-embedding itself, folded into its projections (see `attend_batch`).
+embedding itself. That embedding is affine, so steps 1-4 and step 5's
+W_a product run on the 3 + N numbers of each token's coordinates and slot:
+each head's scores are a bilinear form in them, and its values times its
+share of W_a are one linear map of them to d_model (see `attend_batch`).
 """
 
 from __future__ import annotations
@@ -102,9 +105,17 @@ def attend_batch(
 
     With `embed=(w_e, b_e)`, `x` holds constant raw coordinates (B, N, c)
     and the block embeds them itself: token n is W_e·x_n + b_e + pe[n], with
-    w_e (d_model, c) and b_e (d_model,). The embedding is affine, so K/Q/V
-    come from the c-wide rows as (W·W_e)·x_n + W·(b_e + pe[n]), and w_e and
-    b_e get their gradients from this record.
+    w_e (d_model, c) and b_e (d_model,). The embedding is affine, so token n
+    is E·x̃_n, where x̃_n = [x_n, one-hot n] has m = c + N entries and
+    E = [W_e | (b_e + pe)ᵀ] is (d_model, m). Steps 1-4 and the W_a product
+    then run in that m-wide space, with no per-token keys, queries or values:
+    - head h's scores are x̃_iᵀ·M_h·x̃_j, with the (m, m) matrix
+      M_h = (W_q^h·E)ᵀ(W_k^h·E) / sqrt(d_head);
+    - the concatenated heads times W_a are Σ_h P_h·Σ_j λ_ij^h·x̃_j, with the
+      (d_model, m) matrix P_h = W_a^h·W_v^h·E, one (B*N, H*m) @ (H*m, d_model)
+      GEMM for the whole batch.
+    The residual adds the embedded tokens, and w_e and b_e get their
+    gradients from this record.
 
     Parameter shapes are not checked here; `HANModel._build` checks them once.
     """
@@ -133,32 +144,39 @@ def attend_batch(
     dtype = x.dtype.type
     rows = None if pe is None else np.asarray(pe, dtype=dtype)
     xs, wk, wq, wv, wa, ba = (t.data for t in inputs[:6])
+    f = dtype(1.0 / math.sqrt(dh))
     if embed is None:
         tokens = xs if rows is None else xs + rows             # x + pe, as tests/reference_ops.py adds them
         x2 = tokens.reshape(-1, c)  # every projection is one 2-D GEMM over all B*N rows
-    else:
-        x2 = xs.reshape(-1, c)
-        w_e = w_e.data
+
+        def split_heads(w: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+            # (B, N, H, dh), then heads ahead of tokens, materialised
+            return np.ascontiguousarray(np.transpose((x2 @ w.T).reshape(b, n, h, dh), axes))
+
+        def merge_heads(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+            """left @ right over (B, H), written straight into the (B*N, H*dh) rows the next GEMM reads."""
+            rows = np.empty((b, n, h, dh), dtype)
+            np.matmul(left, right, out=rows.transpose(0, 2, 1, 3))
+            return rows.reshape(-1, hw)
+
+        k_t = split_heads(wk, (0, 2, 3, 1))                    # (B, H, dh, N)
+        q = split_heads(wq, (0, 2, 1, 3))                      # (B, H, N, dh)
+        v = split_heads(wv, (0, 2, 1, 3))
+        scores = q @ k_t                                       # (B, H, N, N)
+        scores *= f
+    else:  # token n is E·x̃_n: x̃_n = [x_n, one-hot n] is m = c + N wide, E = [W_e | (b_e + pe)ᵀ] is (d, m)
+        w_e, m = w_e.data, c + n
         offset = b_e.data + (np.zeros((n, d), dtype) if rows is None else rows)   # (N, d): b_e + pe per slot
-        tokens = (x2 @ w_e.T).reshape(b, n, d) + offset
-
-    def split_heads(w: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-        if embed is None:
-            proj = (x2 @ w.T).reshape(b, n, h, dh)
-        else:  # (W·W_e)·x + W·(b_e + pe): a c-wide GEMM, then the per-slot offset
-            proj = (x2 @ (w @ w_e).T).reshape(b, n, hw)
-            proj += offset @ w.T
-            proj = proj.reshape(b, n, h, dh)
-        # (B, N, H, dh), then heads ahead of tokens, materialised
-        return np.ascontiguousarray(np.transpose(proj, axes))
-
-    k_t = split_heads(wk, (0, 2, 3, 1))                        # (B, H, dh, N)
-    q = split_heads(wq, (0, 2, 1, 3))                          # (B, H, N, dh)
-    v = split_heads(wv, (0, 2, 1, 3))
-
-    f = dtype(1.0 / math.sqrt(dh))
-    scores = q @ k_t                                           # (B, H, N, N)
-    scores *= f
+        tokens = (xs.reshape(-1, c) @ w_e.T).reshape(b, n, d)
+        tokens += offset                                       # in place: a second (B, N, d) array costs page faults
+        emb = np.concatenate([w_e, offset.T], axis=1)
+        xt = np.concatenate([xs, np.broadcast_to(np.eye(n, dtype=dtype), (b, n, n))], axis=2)   # (B, N, m)
+        xt2 = xt.reshape(-1, m)
+        aq, ak, av = (w @ emb for w in (wq, wk, wv))           # W·E per head, (H, dh, m) as (H*dh, m)
+        mh = np.swapaxes(aq.reshape(h, dh, m), 1, 2) @ ak.reshape(h, dh, m)
+        mh *= f                                                # M_h = (W_q^h E)ᵀ(W_k^h E) / sqrt(dh), (H, m, m)
+        # head h's scores x̃_iᵀ·M_h·x̃_j, with rows (i, h): (B, N*H, N), no head layout to write
+        scores = (xt2 @ mh.transpose(1, 0, 2).reshape(m, h * m)).reshape(b, n * h, m) @ np.swapaxes(xt, 1, 2)
     top = scores[..., :1]  # row max by slices: a reduction over the short key axis loops once per row
     for j in range(1, n):
         top = np.maximum(top, scores[..., j:j + 1])
@@ -166,16 +184,15 @@ def attend_batch(
     lam = np.exp(scores, out=scores)
     lam /= lam.sum(axis=-1, keepdims=True)
     if weights_out is not None:
-        weights_out.append(lam.copy())
-
-    def merge_heads(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """left @ right over (B, H), written straight into the (B*N, H*dh) rows the next GEMM reads."""
-        rows = np.empty((b, n, h, dh), dtype)
-        np.matmul(left, right, out=rows.transpose(0, 2, 1, 3))
-        return rows.reshape(-1, hw)
-
-    ctx = merge_heads(lam, v)                                  # (B*N, H*dh)
-    pre = (ctx @ wa.T).reshape(b, n, d)                        # back to d_model
+        weights_out.append(lam.copy() if embed is None else lam.reshape(b, n, h, n).transpose(0, 2, 1, 3).copy())
+    if embed is None:
+        ctx = merge_heads(lam, v)                              # (B*N, H*dh)
+        pre = (ctx @ wa.T).reshape(b, n, d)                    # back to d_model
+    else:  # pre_i = Σ_h P_h·Σ_j λ_ij^h x̃_j with P_h = W_a^h·W_v^h·E: one (B*N, H*m) @ (H*m, d) GEMM
+        wa_t = wa.reshape(d, h, dh).transpose(1, 2, 0)         # (W_a^h)ᵀ, (H, dh, d)
+        p_t = (np.swapaxes(av.reshape(h, dh, m), 1, 2) @ wa_t).reshape(h * m, d)
+        ctx = (lam @ xt).reshape(-1, h * m)                    # (B*N, H*m), columns (h, x̃ entry)
+        pre = (ctx @ p_t).reshape(b, n, d)
     pre += ba
     y = np.maximum(pre, 0)  # ReLU, then layer norm (population variance), centred and scaled in place
     y -= y.sum(axis=-1, keepdims=True) / d
@@ -209,26 +226,36 @@ def attend_batch(
         ga *= inv
         ga *= pre > 0
         ga = ga.reshape(-1, d)
-        gwa, gba = ga.T @ ctx, ga.sum(axis=0)
+        gba = ga.sum(axis=0)
+        if embed is not None:  # back through pre = ctx·P, the scores x̃ᵀ·M_h·x̃ and W·E to every weight
+            gp = (ctx.T @ ga).reshape(h, m, d)                 # P_hᵀ's gradient
+            gs = (ga @ p_t.T).reshape(b, n * h, m) @ np.swapaxes(xt, 1, 2)   # the weights' gradient
+            del ga
+            gs -= (gs * lam).sum(axis=-1, keepdims=True)       # softmax
+            gs *= lam
+            gm = (xt2.T @ (gs @ xt).reshape(-1, h * m)).reshape(m, h, m).transpose(1, 0, 2)   # M_h's, (H, m, m)
+            del gs
+            gm *= f
+            gaq = ak.reshape(h, dh, m) @ np.swapaxes(gm, 1, 2)
+            gak = aq.reshape(h, dh, m) @ gm
+            gav = wa_t @ np.swapaxes(gp, 1, 2)
+            gwa = (av.reshape(h, dh, m) @ gp).transpose(2, 0, 1).reshape(d, hw)
+            gemb = gu.reshape(-1, d).T @ xt2                   # the residual's share, then the three projections'
+            for w, g2 in ((wq, gaq), (wk, gak), (wv, gav)):
+                gemb += w.T @ g2.reshape(hw, m)
+            gwk, gwq, gwv = (g2.reshape(hw, m) @ emb.T for g2 in (gak, gaq, gav))
+            return None, gwk, gwq, gwv, gwa, gba, gemb[:, :c], gemb[:, c:].sum(axis=1)
+        gwa = ga.T @ ctx
         gc = np.transpose((ga @ wa).reshape(b, n, h, dh), (0, 2, 1, 3))   # (B, H, N, dh)
         del ga
-        if embed is None:
-            gx = gu  # residual, then v, q, k: the summation order of tests/reference_ops.py
-        else:    # the residual's share of the embedding's gradients
-            gwe, goff = gu.reshape(-1, d).T @ x2, gu.sum(axis=0)
+        gx = gu  # residual, then v, q, k: the summation order of tests/reference_ops.py
         del gu
 
         def through(g2, w):
             """One projection's (B*N, H*dh) gradient: into the block's input side, and returned for w."""
-            nonlocal gx, gwe, goff
-            gw = g2.T @ x2
-            if embed is None:
-                gx += (g2 @ w).reshape(b, n, d)
-                return gw
-            s = g2.reshape(b, n, hw).sum(axis=0)               # per-slot row sums: W·(b_e + pe)'s gradient
-            gwe += w.T @ gw                                    # gw is (W·W_e)'s gradient here
-            goff += s @ w
-            return gw @ w_e.T + s.T @ offset
+            nonlocal gx
+            gx += (g2 @ w).reshape(b, n, d)
+            return g2.T @ x2
 
         # one projection at a time, each gradient dropped once it is used
         gwv = through(merge_heads(np.swapaxes(lam, -1, -2), gc), wv)
@@ -240,8 +267,6 @@ def attend_batch(
         gwq = through(merge_heads(gs, np.swapaxes(k_t, -1, -2)), wq)
         gwk = through(np.transpose(np.swapaxes(q, -1, -2) @ gs, (0, 3, 1, 2)).reshape(-1, hw), wk)
         del gs
-        if embed is None:
-            return gx, gwk, gwq, gwv, gwa, gba
-        return None, gwk, gwq, gwv, gwa, gba, gwe, goff.sum(axis=0)
+        return gx, gwk, gwq, gwv, gwa, gba
 
     return ad.record_op("attention", inputs, out, bwd)

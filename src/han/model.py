@@ -6,8 +6,8 @@ frames, to (B, C) logits:
 1. the joint coordinates are gathered into hand-part order, once,
 2. per frame, each of the 6 hand parts runs through the joint-level block
    (weights shared across parts by default) to give a part feature; the
-   block embeds the raw coordinates to d_model itself, folding the affine
-   embedding into its key/query/value projections (`attend_batch`'s `embed`),
+   block embeds the raw coordinates itself and, the embedding being affine,
+   attends on the coordinates and slot of each joint (`attend_batch`'s `embed`),
 3. per frame, the 6 part features run through the finger-level block to
    give a hand feature,
 4. the 7 streams (6 parts + hand) each run through the temporal block over

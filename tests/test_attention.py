@@ -357,40 +357,76 @@ class TestPositionRows:
             attend_batch(x, make_params(config), config, pe=np.zeros(shape))
 
 
+GEOMETRIES = {"tiny": dict(d_model=6, n_heads=3, d_head=2), "model": dict(d_model=128, n_heads=8, d_head=32)}
+
+
 class TestEmbed:
-    """`embed=(w_e, b_e)`: the block embeds raw coordinates itself, position rows included."""
+    """`embed=(w_e, b_e)`: the block embeds raw coordinates itself, position rows included, and runs its
+    scores and values on the (3 + N)-wide rows [x, one-hot slot] rather than on d_model-wide tokens."""
 
-    def make(self, dropout=0.3):
-        config = small_config(n_heads=3, d_head=2, dropout_rate=dropout)
+    def make(self, dropout=0.3, n=5, geometry="tiny", dtype=np.float64, scale=1.0):
+        config = AttentionConfig(dropout_rate=dropout, **GEOMETRIES[geometry])
         rs = np.random.RandomState(84)
-        coords = ad.constant(rs.uniform(-1, 1, (4, 5, 3)), dtype=np.float64)
-        w_e = ad.parameter(rs.uniform(-1, 1, (config.d_model, 3)), dtype=np.float64)
-        b_e = ad.parameter(rs.uniform(-1, 1, config.d_model), dtype=np.float64)
-        pe = rs.uniform(-1, 1, (5, config.d_model))
-        return config, make_params(config, seed=32), coords, w_e, b_e, pe
+        coords = ad.constant(rs.uniform(-scale, scale, (4, n, 3)), dtype=dtype)
+        w_e = ad.parameter(rs.uniform(-1, 1, (config.d_model, 3)), dtype=dtype)
+        b_e = ad.parameter(rs.uniform(-1, 1, config.d_model), dtype=dtype)
+        pe = rs.uniform(-1, 1, (n, config.d_model)).astype(dtype)
+        return config, make_params(config, seed=32, dtype=dtype), coords, w_e, b_e, pe
 
-    def run(self, folded, config, params, coords, w_e, b_e, pe):
-        weights = np.random.RandomState(85).uniform(-1, 1, (1, 4 * config.d_model))
+    def run(self, folded, config, params, coords, w_e, b_e, pe, training=True):
+        """Records on the tape, then the output, the gradients of w_e, b_e and the five block tensors, and
+        the captured weights."""
+        b, n, _ = coords.shape
+        weights = np.random.RandomState(85).uniform(-1, 1, (1, b * config.d_model)).astype(coords.dtype)
         streams = [Rng(6, f"dropout/0/{i}") for i in range(2)]
+        captured = []
         with GradientTape() as tape:
             if folded:
-                out = attend_batch(coords, params, config, True, streams, pe=pe, embed=(w_e, b_e))
+                out = attend_batch(coords, params, config, training, streams, captured, pe, (w_e, b_e))
             else:  # embed, add the position rows, then the block on d_model-wide tokens
-                tokens = add(ad.linear(coords, w_e, b_e), ad.constant(np.broadcast_to(pe, (4, 5, config.d_model))))
-                out = attend_batch(tokens, params, config, True, streams)
+                tokens = ad.linear(coords, w_e, b_e)
+                if pe is not None:
+                    tokens = add(tokens, ad.constant(np.broadcast_to(pe, (b, n, config.d_model))))
+                out = attend_batch(tokens, params, config, training, streams, captured)
             records = len(tape)
             backward(block_loss(out, weights), tape)
         result = [out.data.copy()] + [t.grad.copy() for t in [w_e, b_e] + block_tensors(params, config)]
         tape.reset()
-        return records, result
+        return records, result + captured
 
-    def test_matches_embedding_then_block(self):
-        setup = self.make()
-        records, got = self.run(True, *setup)
-        _, want = self.run(False, *setup)
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "dropout"])
+    @pytest.mark.parametrize("with_pe", [True, False], ids=["pe", "no-pe"])
+    @pytest.mark.parametrize("geometry", list(GEOMETRIES))
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_matches_embedding_then_block(self, n, geometry, with_pe, training):
+        config, params, coords, w_e, b_e, pe = self.make(n=n, geometry=geometry)
+        pe = pe if with_pe else None
+        records, got = self.run(True, config, params, coords, w_e, b_e, pe, training)
+        _, want = self.run(False, config, params, coords, w_e, b_e, pe, training)
         assert records == 1
+        assert len(got) == len(want) == 9  # output, 7 gradients, (4, H, N, N) weights
+        assert got[-1].shape == (4, config.n_heads, n, n)
         for a, b in zip(got, want):
+            assert a.shape == b.shape
             assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
+    # about 3x the largest error measured for this setup when the block still projected the embedded tokens
+    # to d_model-wide heads (6.8e-7 at scale 1, 2.1e-4 at scale 100); at scale 100 the softmax is nearly
+    # saturated, and the K and Q gradients carry that error
+    @pytest.mark.parametrize("scale, bound", [(1.0, 2e-6), (100.0, 6e-4)])
+    def test_float32_stays_near_float64(self, scale, bound):
+        """Real joint coordinates are not in [-1, 1]: at the model geometry, float32 output and gradients
+        stay within `bound` (relative to each array's largest value) of the float64 run on the same values,
+        at coordinate scale 1 and 100."""
+        config, params, *tensors, pe = self.make(dropout=0.1, n=4, geometry="model", dtype=np.float32, scale=scale)
+        wide = AttentionParams(**{name: ad.parameter(getattr(params, name).data, dtype=np.float64)
+                                  for name, _, _ in param_table(config)})
+        coords, w_e, b_e = (ad.Tensor(t.data, t.requires_grad, np.float64) for t in tensors)
+        runs = [self.run(True, config, params, *tensors, pe)[1],
+                self.run(True, config, wide, coords, w_e, b_e, pe.astype(np.float64))[1]]
+        for a, b in zip(*runs):
+            assert a.dtype == np.float32
+            assert np.max(np.abs(a - b)) <= bound * np.max(np.abs(b))
 
     def test_coordinates_must_be_constant(self):
         config, params, coords, w_e, b_e, pe = self.make()
