@@ -29,9 +29,9 @@ DTYPES = (np.float32, np.float64)  # what a tensor may hold
 
 
 class Tensor:
-    """n-dimensional real array, optionally carrying a gradient buffer."""
+    """n-dimensional real array; `requires_grad` marks it as one that gradients flow to."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad")  # "grad" is unused: kept for bench/workloads.py's `t.grad = None`
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -39,7 +39,6 @@ class Tensor:
             raise UsageError(f"a tensor holds float32 or float64 values, got {arr.dtype}")
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -72,7 +71,7 @@ def constant(data, dtype=None) -> Tensor:
 
 
 def parameter(data, dtype=None) -> Tensor:
-    """Leaf tensor that accumulates gradients."""
+    """Leaf tensor that gradients flow to."""
     return Tensor(data, requires_grad=True, dtype=dtype)
 
 
@@ -99,8 +98,8 @@ def _active_tapes() -> list["GradientTape"]:
 class GradientTape:
     """Ordered record of executed operations, consumed once by backward().
 
-    One tape is single-threaded; independent tapes on different threads
-    record independently.
+    One tape is single-threaded; tapes on different threads record
+    independently and may share parameters, since no tensor holds a gradient.
     """
 
     def __init__(self):
@@ -117,11 +116,7 @@ class GradientTape:
         return len(self._records)
 
     def reset(self) -> None:
-        """Drop all records and clear gradients on every tensor touched."""
-        for rec in self._records:
-            rec.output.grad = None
-            for t in rec.inputs:
-                t.grad = None
+        """Drop all records."""
         self._records.clear()
 
 
@@ -139,12 +134,12 @@ def record_op(op: str, inputs: tuple[Tensor, ...], output: Tensor, backward_fn) 
     return output
 
 
-def backward(loss: Tensor, tape: GradientTape) -> None:
-    """Accumulate d(loss)/d(tensor) into .grad for every tensor on the tape.
+def backward(loss: Tensor, tape: GradientTape, wrt: list[Tensor]) -> list[np.ndarray]:
+    """d(loss)/d(t) for each tensor t in `wrt`, zeros where the loss does not reach t.
 
-    The loss must be a scalar; its seed gradient is 1. Tensors not on any
-    path to the loss keep grad=None, and so does every record's output once
-    its record has run: only the tape's leaves keep a gradient.
+    The loss must be a scalar; its seed gradient is 1. The flowing gradients live in a
+    dict local to the call, keyed by tensor identity, so no tensor holds one and two tapes
+    can share parameters. A record's output reads zeros: its gradient goes once it has run.
 
     A first gradient is kept as given and later ones are added out of place,
     because one array may reach several tensors (`reshape` and `stack` hand
@@ -153,22 +148,22 @@ def backward(loss: Tensor, tape: GradientTape) -> None:
     """
     if loss.size != 1:
         raise UsageError(f"backward() needs a scalar loss, got shape {loss.shape}")
-    loss.grad = np.ones_like(loss.data)
+    grads = {id(loss): np.ones_like(loss.data)}
     for rec in reversed(tape._records):
-        g_out = rec.output.grad
+        g_out = grads.pop(id(rec.output), None)
         if g_out is None:
             continue
         grads_in = rec.backward_fn(g_out)
-        rec.output.grad = None
+        if len(grads_in) != len(rec.inputs):  # a broken op, not a caller's mistake: the CLI exits 4
+            raise HanError(f"{rec.op} backward produced {len(grads_in)} gradient(s) for {len(rec.inputs)} input(s)")
         for t, g in zip(rec.inputs, grads_in):
             if g is None or not t.requires_grad:
                 continue
-            if g.shape != t.data.shape:  # a broken op, not a caller's mistake: the CLI exits 4
+            if g.shape != t.data.shape:
                 raise HanError(f"{rec.op} backward produced gradient {g.shape} for input {t.data.shape}")
-            if t.grad is None:
-                t.grad = g.astype(t.data.dtype, copy=False)
-            else:
-                t.grad = t.grad + g
+            held = grads.get(id(t))
+            grads[id(t)] = g.astype(t.data.dtype, copy=False) if held is None else held + g
+    return [grads[id(t)] if id(t) in grads else np.zeros_like(t.data) for t in wrt]
 
 
 def _check_same_dtype(op: str, *tensors: Tensor) -> None:
@@ -211,7 +206,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = Tensor(x.data.reshape(shape))
+    try:
+        out = Tensor(x.data.reshape(shape))
+    except ValueError as exc:
+        raise ShapeError(f"reshape of {x.shape} to {shape}: {exc}") from exc
 
     def bwd(g):
         return (g.reshape(x.data.shape),)

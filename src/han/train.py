@@ -230,8 +230,9 @@ def train_loop(
                     raise ConfigError(f"loss is {loss} at epoch {epoch}, batch {start // config.batch_size} "
                                       f"with lr {lr:.8g}; lower lr_init")
                 correct += int(np.sum(np.argmax(logits.data, axis=1) == labels))
-                ad.backward(batch_loss, tape)
-                grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
+                # bound until the next batch, past tape.reset(): freed before the tape's activations,
+                # the gradients let glibc trim the heap top, and every step faults its pages back in
+                grads = ad.backward(batch_loss, tape, params)
                 adam_step(params, grads, adam, lr)
             tape.reset()
             loss_sum += loss * len(batch)

@@ -269,10 +269,8 @@ def run_block(block, x, params, config, weights, **kw):
     leaves = [x] + block_tensors(params, config)
     with GradientTape() as tape:
         out = block(x, params, config, **kw)
-        backward(block_loss(out, weights), tape)
-    result = [out.data.copy()] + [t.grad.copy() for t in leaves]
-    tape.reset()
-    return result
+        grads = backward(block_loss(out, weights), tape, leaves)
+    return [out.data.copy()] + grads
 
 
 class TestFusedBlock:
@@ -389,10 +387,8 @@ class TestEmbed:
                     tokens = add(tokens, ad.constant(np.broadcast_to(pe, (b, n, config.d_model))))
                 out = attend_batch(tokens, params, config, training, streams, captured)
             records = len(tape)
-            backward(block_loss(out, weights), tape)
-        result = [out.data.copy()] + [t.grad.copy() for t in [w_e, b_e] + block_tensors(params, config)]
-        tape.reset()
-        return records, result + captured
+            grads = backward(block_loss(out, weights), tape, [w_e, b_e] + block_tensors(params, config))
+        return records, [out.data.copy()] + grads + captured
 
     @pytest.mark.parametrize("training", [False, True], ids=["eval", "dropout"])
     @pytest.mark.parametrize("with_pe", [True, False], ids=["pe", "no-pe"])

@@ -23,14 +23,9 @@ def rand(shape):
 
 def check_grad(build_loss, leaves, rtol=1e-4):
     """Analytic gradient from a tape vs central differences, per leaf."""
-    for leaf in leaves:
-        leaf.grad = None
     with GradientTape() as tape:
         loss = build_loss()
-    backward(loss, tape)
-    analytic = [leaf.grad.copy() if leaf.grad is not None else np.zeros_like(leaf.data) for leaf in leaves]
-    tape.reset()
-    for leaf, got in zip(leaves, analytic):
+    for leaf, got in zip(leaves, backward(loss, tape, leaves)):
         want = central_difference(lambda: build_loss().item(), leaf.data)
         assert max_relative_error(got, want) < rtol, f"gradient mismatch on shape {leaf.shape}"
 
@@ -67,8 +62,8 @@ class TestMatmul:
         b = Tensor(rand((4, 2)), requires_grad=True, dtype=np.float64)
         with GradientTape() as tape:
             loss = ref.tensor_sum(ref.matmul(a, b))
-        backward(loss, tape)
-        assert np.allclose(a.grad, np.ones((3, 2)) @ b.data.T)
+        (ga,) = backward(loss, tape, [a])
+        assert np.allclose(ga, np.ones((3, 2)) @ b.data.T)
         check_grad(lambda: ref.tensor_sum(ref.matmul(a, b)), [a, b])
 
     def test_batched_grad(self):
@@ -145,15 +140,15 @@ class TestElementwiseAndReductions:
         x = Tensor([-1.0, 2.0], requires_grad=True, dtype=np.float64)
         with GradientTape() as tape:
             loss = ref.tensor_sum(ref.relu(x))
-        backward(loss, tape)
-        assert np.allclose(x.grad, [0.0, 1.0])
+        (gx,) = backward(loss, tape, [x])
+        assert np.allclose(gx, [0.0, 1.0])
 
     def test_sum_grad_is_ones(self):
         x = Tensor(rand((3, 2)), requires_grad=True, dtype=np.float64)
         with GradientTape() as tape:
             loss = ref.tensor_sum(x)
-        backward(loss, tape)
-        assert np.array_equal(x.grad, np.ones((3, 2)))
+        (gx,) = backward(loss, tape, [x])
+        assert np.array_equal(gx, np.ones((3, 2)))
 
     def test_mean_axis0(self):
         out = ref.mean(Tensor([[1.0, 3.0], [5.0, 7.0]]), axis=0)
@@ -191,10 +186,12 @@ class TestElementwiseAndReductions:
          r"select of 3 on axis 1 of \(2, 3\): index 3 is out of bounds"),
         (lambda: ad.select(Tensor(rand((2, 3))), 0, axis=2), ShapeError,
          r"select of 0 on axis 2 of \(2, 3\): axis 2 is out of bounds"),
+        (lambda: ad.reshape(Tensor(rand((2, 3))), (4,)), ShapeError,
+         r"reshape of \(2, 3\) to \(4,\): cannot reshape"),
     ], ids=["linear-1d-weight", "linear-width", "linear-bias", "linear-dtypes", "stack-none", "stack-shapes",
             "stack-dtypes", "item-of-two", "concatenate-none", "concatenate-shapes", "concatenate-ranks",
             "concatenate-axis", "concatenate-dtypes", "transpose-axes", "transpose-shape", "select-index",
-            "select-axis"])
+            "select-axis", "reshape-size"])
     def test_bad_operands_rejected(self, make, error, message):
         with pytest.raises(error, match=message):
             make()
@@ -271,9 +268,9 @@ class TestGradientOwnership:
             # each record hands back the same captured array, and both reach x
             ys = [record_op("hold", (x,), Tensor(2.0 * x.data), lambda g: (held,)) for _ in range(2)]
             loss = ref.tensor_sum(ref.add(*ys))
-        backward(loss, tape)
+        (gx,) = backward(loss, tape, [x])
         assert np.array_equal(held, before)
-        assert np.array_equal(x.grad, 2.0 * before)
+        assert np.array_equal(gx, 2.0 * before)
 
     def test_add_and_linear_sharing_a_parameter(self):
         a = ad.parameter(rand((4, 3)), dtype=np.float64)
@@ -290,15 +287,43 @@ class TestGradientOwnership:
 
         check_grad(loss, [a, b], rtol=1e-7)
 
+    @staticmethod
+    def model_tape(model, seed):
+        """A tape and loss of one dropout batch of three random sequences through `model`."""
+        frames = np.random.RandomState(seed).uniform(-1, 1, (3, model.config.frames, model.config.joint_count, 3))
+        with GradientTape() as tape:
+            logits = forward(frames, model, training=True, rng=[Rng(seed, f"d{i}") for i in range(3)])
+            loss = cross_entropy(logits, [0, 1, 3])
+        return tape, loss
+
     def test_only_parameters_keep_gradients(self):
         model = HANModel(tiny_config(dropout=0.1), seed=3, dtype=np.float64)
-        frames = RS.uniform(-1, 1, (3, model.config.frames, model.config.joint_count, 3))
-        with GradientTape() as tape:
-            logits = forward(frames, model, training=True, rng=[Rng(5, f"d{i}") for i in range(3)])
-            loss = cross_entropy(logits, [0, 1, 3])
-        backward(loss, tape)
-        assert all(rec.output.grad is None for rec in tape._records)
-        assert all(p.grad is not None and p.grad.shape == p.shape for _, p in model.parameters())
+        params = [p for _, p in model.parameters()]
+        tape, loss = self.model_tape(model, 5)
+        grads = backward(loss, tape, params + [rec.output for rec in tape._records])
+        # a record's output gradient is dropped once its record has run
+        assert not any(g.any() for g in grads[len(params):])
+        assert all(g.shape == p.shape and g.dtype == p.dtype for p, g in zip(params, grads))
+
+    def test_no_tensor_holds_a_gradient(self):
+        model = HANModel(tiny_config(dropout=0.1), seed=3, dtype=np.float64)
+        tape, loss = self.model_tape(model, 5)
+        backward(loss, tape, [p for _, p in model.parameters()])
+        assert not any(hasattr(t, "grad") for rec in tape._records for t in rec.inputs + (rec.output,))
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["in-order", "reversed"])
+    def test_two_tapes_over_one_model_match_lone_runs(self, order):
+        model = HANModel(tiny_config(dropout=0.1), seed=3, dtype=np.float32)
+        params = [p for _, p in model.parameters()]
+        lone = []
+        for seed in (5, 6):
+            tape, loss = self.model_tape(model, seed)
+            lone.append(backward(loss, tape, params))
+        tapes = [self.model_tape(model, seed) for seed in (5, 6)]  # both recorded before either backward
+        got = {i: backward(tapes[i][1], tapes[i][0], params) for i in order}
+        for i in (0, 1):
+            assert all(np.array_equal(g, want) for g, want in zip(got[i], lone[i])), f"tape {i}"
+        assert not all(np.array_equal(a, b) for a, b in zip(lone[0], lone[1]))
 
 
 class TestDropout:
@@ -341,25 +366,25 @@ class TestTapeAndBackward:
         with GradientTape() as tape:
             y = ref.relu(x)
         with pytest.raises(UsageError):
-            backward(y, tape)
+            backward(y, tape, [x])
 
     def test_reset_clears_all_grads(self):
         x = Tensor(rand((2, 2)), requires_grad=True)
         with GradientTape() as tape:
             y = ref.relu(x)
             loss = ref.tensor_sum(y)
-        backward(loss, tape)
-        assert x.grad is not None
+        (gx,) = backward(loss, tape, [x])
+        assert np.array_equal(gx, (x.data > 0).astype(x.dtype))
         tape.reset()
-        assert x.grad is None and y.grad is None and loss.grad is None
+        assert not any(hasattr(t, "grad") for t in (x, y, loss))
         assert len(tape) == 0
 
     def test_grad_accumulates_across_reuse(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True, dtype=np.float64)
         with GradientTape() as tape:
             loss = ref.tensor_sum(ref.add(x, x))
-        backward(loss, tape)
-        assert np.allclose(x.grad, [2.0, 2.0])
+        (gx,) = backward(loss, tape, [x])
+        assert np.allclose(gx, [2.0, 2.0])
 
     def test_record_off_the_loss_path_is_skipped(self):
         x = ad.parameter(rand(3), dtype=np.float64)
@@ -367,17 +392,39 @@ class TestTapeAndBackward:
         with GradientTape() as tape:
             unused = record_op("unused", (x,), Tensor(x.data), lambda g: calls.append(g) or (g,))
             loss = ref.tensor_sum(ref.scale(x, 2.0))
-        backward(loss, tape)
-        assert calls == [] and unused.grad is None
-        assert np.array_equal(x.grad, np.full(3, 2.0))
+        gx, gu = backward(loss, tape, [x, unused])
+        assert calls == [] and not gu.any()
+        assert np.array_equal(gx, np.full(3, 2.0))
+
+    def test_unreached_tensor_gets_zeros_of_its_shape_and_dtype(self):
+        x = ad.parameter(rand(3), dtype=np.float64)
+        off_path = ad.parameter(rand((2, 5)), dtype=np.float32)
+        c = ad.constant(rand(3), dtype=np.float64)  # on the path, but takes no gradient
+        with GradientTape() as tape:
+            loss = ref.tensor_sum(ref.add(x, c))
+        gx, g_off, gc = backward(loss, tape, [x, off_path, c])
+        assert np.array_equal(gx, np.ones(3))
+        for t, g in ((off_path, g_off), (c, gc)):
+            assert g.shape == t.shape and g.dtype == t.dtype and not g.any()
 
     def test_wrong_shape_gradient_is_an_internal_error(self):
         x = ad.parameter(rand(3), dtype=np.float64)
         with GradientTape() as tape:
             loss = ref.tensor_sum(record_op("broken", (x,), Tensor(2.0 * x.data), lambda g: (g[:2],)))
         with pytest.raises(HanError, match=r"broken backward produced gradient \(2,\) for input \(3,\)") as info:
-            backward(loss, tape)
+            backward(loss, tape, [x])
         assert not isinstance(info.value, UsageError)  # the CLI exits 4 on it, not 2
+
+    @pytest.mark.parametrize("inputs, returned", [(2, 1), (1, 2)], ids=["too-few", "too-many"])
+    def test_wrong_gradient_count_is_an_internal_error(self, inputs, returned):
+        # with two parameter inputs and one gradient, the second would silently get none
+        xs = [ad.parameter(rand(3), dtype=np.float64) for _ in range(inputs)]
+        with GradientTape() as tape:
+            loss = ref.tensor_sum(record_op("broken", tuple(xs), Tensor(2.0 * xs[0].data), lambda g: (g,) * returned))
+        message = rf"broken backward produced {returned} gradient\(s\) for {inputs} input\(s\)"
+        with pytest.raises(HanError, match=message) as info:
+            backward(loss, tape, xs)
+        assert not isinstance(info.value, UsageError)
 
     def test_no_tape_means_no_recording(self):
         x = Tensor(rand(3), requires_grad=True)
@@ -386,25 +433,36 @@ class TestTapeAndBackward:
         assert len(tape) == 0
 
     def test_independent_tapes_on_parallel_threads(self):
+        import sys
         import threading
 
+        # one parameter under four tapes: a gradient kept on the tensor would mix the threads' scales
+        x = Tensor(rand((20, 20)), requires_grad=True, dtype=np.float64)
         results = {}
+        start = threading.Barrier(4)
 
         def work(key, scale_factor):
-            x = Tensor(rand((20, 20)), requires_grad=True, dtype=np.float64)
+            ok = True
+            start.wait(timeout=30)
             for _ in range(50):
                 with GradientTape() as tape:
                     loss = ref.tensor_sum(ref.scale(ref.relu(x), scale_factor))
-                backward(loss, tape)
-                got = x.grad.copy()
+                (got,) = backward(loss, tape, [x])
                 tape.reset()
-            results[key] = np.allclose(got, scale_factor * (x.data > 0))
+                ok = ok and np.allclose(got, scale_factor * (x.data > 0))
+            results[key] = ok
 
         threads = [threading.Thread(target=work, args=(i, float(i + 2))) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert all(results.values()) and len(results) == 4
 
     def test_ops_are_pure(self):

@@ -300,9 +300,8 @@ class TestGradients:
 
         with GradientTape() as tape:
             loss = cross_entropy(forward([frames], model), [label])
-        backward(loss, tape)
-        for name, p in model.parameters():
-            got = p.grad if p.grad is not None else np.zeros_like(p.data)
+        named = model.parameters()
+        for (name, p), got in zip(named, backward(loss, tape, [p for _, p in named])):
             want = central_difference(loss_value, p.data)
             assert max_relative_error(got, want) < 1e-4, f"gradient mismatch for {name}"
 
@@ -318,9 +317,8 @@ class TestFoldedJointEmbedding:
         with GradientTape() as tape:
             logits = fn(frames, model, training=training, rng=rng, capture=capture)
             loss = cross_entropy(logits, list(labels))
-        backward(loss, tape)
-        grads = {name: p.grad for name, p in model.parameters()}
-        tape.reset()
+        named = model.parameters()
+        grads = dict(zip([name for name, _ in named], backward(loss, tape, [p for _, p in named])))
         return logits.data, grads, capture
 
     @staticmethod
@@ -356,10 +354,10 @@ class TestFoldedJointEmbedding:
 
         with GradientTape() as tape:
             value = loss()
-        backward(value, tape)
-        for name, p in (("joint.w", model.joint_w), ("joint.b", model.joint_b)):
+        leaves = (("joint.w", model.joint_w), ("joint.b", model.joint_b))
+        for (name, p), got in zip(leaves, backward(value, tape, [p for _, p in leaves])):
             want = central_difference(lambda: loss().item(), p.data)
-            assert max_relative_error(p.grad, want) < 1e-6, name
+            assert max_relative_error(got, want) < 1e-6, name
 
 
 @st.composite
@@ -439,10 +437,7 @@ class TestBatchGrouping:
         with GradientTape() as tape:
             logits = forward(frames, model, training=True, rng=rngs)
             loss = cross_entropy(logits, labels)
-        backward(loss, tape)
-        grads = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for _, p in model.parameters()]
-        tape.reset()
-        return logits.data, grads
+        return logits.data, backward(loss, tape, [p for _, p in model.parameters()])
 
     @pytest.mark.parametrize("shared", [True, False])
     def test_batch_of_five_matches_five_single_calls(self, shared):

@@ -1,6 +1,6 @@
 """Snapshot of the configuration surface: config keys and defaults, the fields of
 the config dataclasses and value types, estimator parameters, the checkpoint's config echo, and the
-arguments of the attention block, of the model's forward and of the sequence-file parser.
+arguments of the attention block, of the model's forward, of the sequence-file parser and of backward.
 
 A change here is a new option, a renamed key or field, a changed default or a new
 block or forward argument. Update the expected values only on purpose, and say so where the
@@ -15,6 +15,7 @@ import pytest
 
 from han import cli
 from han.attention import attend_batch
+from han.autodiff import backward
 from han.config import CONFIG_KEYS, DEFAULTS, AttentionConfig, AugmentationConfig, TrainConfig, build_configs
 from han.data import HandPartition, SkeletonSequence, parse_sequence
 from han.estimator import HANClassifier
@@ -76,6 +77,9 @@ EXPECTED_FORWARD_PARAMS = ["seqs", "model", "training", "rng", "capture"]
 # so the whole parse, fast path and line walk alike, stays inside this one function
 EXPECTED_PARSE_SEQUENCE_PARAMS = ["path", "joint_count", "label"]
 
+# bench/tracing.py reads `tape` as backward's second positional argument
+EXPECTED_BACKWARD_PARAMS = ["loss", "tape", "wrt"]
+
 
 def _flags(command):
     sub = cli._build_parser()._subparsers._group_actions[0].choices[command]
@@ -126,3 +130,7 @@ def test_forward_parameters():
 
 def test_parse_sequence_parameters():
     assert list(inspect.signature(parse_sequence).parameters) == EXPECTED_PARSE_SEQUENCE_PARAMS
+
+
+def test_backward_parameters():
+    assert list(inspect.signature(backward).parameters) == EXPECTED_BACKWARD_PARAMS
