@@ -135,11 +135,11 @@ def record_op(op: str, inputs: tuple[Tensor, ...], output: Tensor, backward_fn) 
 
 
 def backward(loss: Tensor, tape: GradientTape, wrt: list[Tensor]) -> list[np.ndarray]:
-    """d(loss)/d(t) for each tensor t in `wrt`, zeros where the loss does not reach t.
+    """d(loss)/d(t) for each leaf t (parameter or input) in `wrt`, zeros where the loss does not reach t.
 
-    The loss must be a scalar; its seed gradient is 1. The flowing gradients live in a
-    dict local to the call, keyed by tensor identity, so no tensor holds one and two tapes
-    can share parameters. A record's output reads zeros: its gradient goes once it has run.
+    A record's output reads zeros: its gradient goes once its record has run. The loss must
+    be a scalar; its seed gradient is 1. The flowing gradients live in a dict local to the
+    call, keyed by tensor identity, so no tensor holds one and two tapes can share parameters.
 
     A first gradient is kept as given and later ones are added out of place,
     because one array may reach several tensors (`reshape` and `stack` hand

@@ -300,9 +300,18 @@ class TestGradientOwnership:
         model = HANModel(tiny_config(dropout=0.1), seed=3, dtype=np.float64)
         params = [p for _, p in model.parameters()]
         tape, loss = self.model_tape(model, 5)
+        reached = set()  # ids of the tensors some record hands a gradient to
+        for rec in tape._records:
+            def spy(g, rec=rec, fn=rec.backward_fn):
+                grads_in = fn(g)
+                reached.update(id(t) for t, gi in zip(rec.inputs, grads_in) if gi is not None)
+                return grads_in
+            rec.backward_fn = spy
         grads = backward(loss, tape, params + [rec.output for rec in tape._records])
         # a record's output gradient is dropped once its record has run
         assert not any(g.any() for g in grads[len(params):])
+        # the loss reaches every parameter; J's wq and wk read zeros on 1-joint parts
+        assert all(id(p) in reached for p in params)
         assert all(g.shape == p.shape and g.dtype == p.dtype for p, g in zip(params, grads))
 
     def test_no_tensor_holds_a_gradient(self):
@@ -376,7 +385,6 @@ class TestTapeAndBackward:
         (gx,) = backward(loss, tape, [x])
         assert np.array_equal(gx, (x.data > 0).astype(x.dtype))
         tape.reset()
-        assert not any(hasattr(t, "grad") for t in (x, y, loss))
         assert len(tape) == 0
 
     def test_grad_accumulates_across_reuse(self):
